@@ -1,7 +1,17 @@
 //! Whole-chip energy scaling (the paper's Section 4.5 method).
 
-use diq_pipeline::SimStats;
+use diq_exp::PointResult;
 use diq_power::ISSUE_QUEUE_CHIP_POWER_FRACTION;
+
+/// Mean issue-queue power of a stored run (pJ per cycle; 0 for a run of
+/// no cycles) — `SimStats::power_pj_per_cycle` over the stored fields.
+pub(crate) fn power_pj_per_cycle(run: &PointResult) -> f64 {
+    if run.cycles == 0 {
+        0.0
+    } else {
+        run.energy_pj / run.cycles as f64
+    }
+}
 
 /// Whole-processor energy/delay figures for one run, derived with the
 /// paper's assumption that the issue queue contributes 23% of total chip
@@ -25,11 +35,11 @@ impl ChipEnergy {
     /// Computes chip-level figures for `run`, calibrating rest-of-chip
     /// power from `baseline` (the `IQ_64_64` run of the same benchmark).
     #[must_use]
-    pub fn derive(run: &SimStats, baseline: &SimStats) -> Self {
+    pub fn derive(run: &PointResult, baseline: &PointResult) -> Self {
         let f = ISSUE_QUEUE_CHIP_POWER_FRACTION;
-        let base_iq_power = baseline.power_pj_per_cycle();
+        let base_iq_power = power_pj_per_cycle(baseline);
         let rest_power = base_iq_power * (1.0 - f) / f;
-        let iq_pj = run.energy_pj();
+        let iq_pj = run.energy_pj;
         let chip_pj = iq_pj + rest_power * run.cycles as f64;
         ChipEnergy {
             iq_pj,
@@ -55,14 +65,14 @@ impl ChipEnergy {
 mod tests {
     use super::*;
     use diq_core::SchedulerConfig;
+    use diq_exp::Point;
     use diq_isa::ProcessorConfig;
-    use diq_pipeline::{Simulator, TraceSource};
     use diq_workload::kernels;
 
-    fn run(sc: &SchedulerConfig, n: u64) -> SimStats {
+    fn run(sc: &SchedulerConfig, n: u64) -> PointResult {
         let spec = kernels::parallel_fp_chains(12, 4);
-        let mut sim = Simulator::new(&ProcessorConfig::hpca2004(), sc);
-        sim.run_workload(&mut TraceSource::new(spec.generate(n as usize)), n)
+        let point = Point::new(ProcessorConfig::hpca2004(), sc.clone(), spec, n);
+        PointResult::from_stats(&point, &point.execute())
     }
 
     #[test]

@@ -1,19 +1,100 @@
-//! One constructor per paper artifact.
+//! One constructor per paper artifact, and the [`REGISTRY`] that names
+//! them.
 //!
-//! Each function runs whatever simulations it needs through the shared
-//! [`Harness`] (cached, parallel) and returns a [`Figure`] whose rows are
-//! shaped like the paper's plot: per-benchmark series plus the aggregate the
-//! paper reports (harmonic-mean IPC, suite-mean normalized metrics, …).
-//! Paper-reported reference values are attached as notes so text output is
-//! self-checking.
+//! Each function is a pure function over the stored results of the
+//! [`Grid`]s its registry entry lists, and returns a [`Figure`] whose rows
+//! are shaped like the paper's plot: per-benchmark series plus the
+//! aggregate the paper reports (harmonic-mean IPC, suite-mean normalized
+//! metrics, …). Paper-reported reference values are attached as notes so
+//! text output is self-checking.
 
-use crate::{ChipEnergy, Figure, Harness};
+use crate::energy::power_pj_per_cycle;
+use crate::{ChipEnergy, Figure, Grid, Records};
 use diq_core::SchedulerConfig;
-use diq_pipeline::SimStats;
-use diq_power::{EnergyMeter, ALL_COMPONENTS};
-use diq_stats::{arithmetic_mean, harmonic_mean, pct_loss};
+use diq_exp::PointResult;
+use diq_isa::ProcessorConfig;
+use diq_power::ALL_COMPONENTS;
+use diq_stats::{arithmetic_mean, pct_loss};
 use diq_workload::{suite, WorkloadSpec};
-use std::sync::Arc;
+
+/// A figure constructor: stored records in, rendered artifact out.
+pub type Build = fn(&Records) -> Result<Figure, String>;
+
+/// One registered paper artifact.
+#[derive(Debug)]
+pub struct Artifact {
+    /// The id `diq figure` takes (and the rendered figure's id).
+    pub id: &'static str,
+    /// The grids whose records the artifact reads.
+    pub grids: &'static [Grid],
+    /// Whether it is one of the paper's artifacts `diq figures` renders
+    /// (the ablations are extra studies, rendered only by id).
+    pub paper: bool,
+    /// The constructor.
+    pub build: Build,
+}
+
+const fn artifact(id: &'static str, grids: &'static [Grid], build: Build) -> Artifact {
+    Artifact {
+        id,
+        grids,
+        paper: true,
+        build,
+    }
+}
+
+const fn ablation(id: &'static str, build: Build) -> Artifact {
+    Artifact {
+        id,
+        grids: &[Grid::Ablations],
+        paper: false,
+        build,
+    }
+}
+
+const INT: &[Grid] = &[Grid::IntSweep];
+const FP: &[Grid] = &[Grid::FpSweep];
+const SWEEPS: &[Grid] = &[Grid::IntSweep, Grid::FpSweep];
+const SCHEMES: &[Grid] = &[Grid::PaperSchemes];
+
+/// Every artifact, the paper's in paper order, then the ablations.
+pub static REGISTRY: [Artifact; 18] = [
+    artifact("tab1", &[], table1),
+    artifact("fig2", INT, fig2),
+    artifact("fig3", FP, fig3),
+    artifact("fig4", FP, fig4),
+    artifact("fig6", FP, fig6),
+    artifact("sec3", SWEEPS, section3_claims),
+    artifact("fig7", SCHEMES, fig7),
+    artifact("fig8", SCHEMES, fig8),
+    artifact("fig9", SCHEMES, fig9),
+    artifact("fig10", SCHEMES, fig10),
+    artifact("fig11", SCHEMES, fig11),
+    artifact("fig12", SCHEMES, fig12),
+    artifact("fig13", SCHEMES, fig13),
+    artifact("fig14", SCHEMES, fig14),
+    artifact("fig15", SCHEMES, fig15),
+    artifact("headline", SCHEMES, headline),
+    ablation("ablation_chains", ablation_chains),
+    ablation("ablation_priority", ablation_priority),
+];
+
+/// The registered artifact `id`.
+#[must_use]
+pub fn by_id(id: &str) -> Option<&'static Artifact> {
+    REGISTRY.iter().find(|a| a.id == id)
+}
+
+/// The paper's artifacts, in paper order — what `diq figures` renders.
+pub fn paper() -> impl Iterator<Item = &'static Artifact> {
+    REGISTRY.iter().filter(|a| a.paper)
+}
+
+/// Every registered id, comma-separated (for error messages).
+#[must_use]
+pub fn ids() -> String {
+    REGISTRY.iter().map(|a| a.id).collect::<Vec<_>>().join(", ")
+}
 
 /// The queue-count × queue-size sweep of Figures 2–4 and 6:
 /// {8, 10, 12} queues × {8, 16} entries.
@@ -25,41 +106,38 @@ fn sweep() -> Vec<(usize, usize)> {
 fn ipc_loss_figure(
     id: &str,
     title: &str,
-    harness: &Harness,
+    records: &Records,
     bench_suite: &[WorkloadSpec],
     configs: &[SchedulerConfig],
-) -> Figure {
+) -> Result<Figure, String> {
     let baseline = SchedulerConfig::unbounded_baseline();
-    let mut all: Vec<SchedulerConfig> = vec![baseline.clone()];
-    all.extend_from_slice(configs);
-    let matrix = harness.run_matrix(&all, bench_suite);
-
     let mut headers = vec!["benchmark".to_string()];
     headers.extend(configs.iter().map(SchedulerConfig::label));
     let mut fig = Figure::new(id, title, headers);
-    for (b, bench) in bench_suite.iter().enumerate() {
-        let base_ipc = matrix[0][b].ipc();
+    for bench in bench_suite {
+        let base_ipc = records.ipc(&baseline, &bench.name)?;
         let mut cells = vec![bench.name.clone()];
-        for row in matrix.iter().skip(1) {
-            cells.push(format!("{:.1}%", pct_loss(base_ipc, row[b].ipc())));
+        for sc in configs {
+            let ipc = records.ipc(sc, &bench.name)?;
+            cells.push(format!("{:.1}%", pct_loss(base_ipc, ipc)));
         }
         fig.row(cells);
     }
     // Aggregate row: loss of harmonic-mean IPC, as the paper's bars imply.
-    let base_hm = harmonic_mean(matrix[0].iter().map(|r| r.ipc())).expect("ipcs");
+    let base_hm = records.harmonic_mean_ipc(&baseline, bench_suite)?;
     let mut cells = vec!["HARMEAN".to_string()];
-    for row in matrix.iter().skip(1) {
-        let hm = harmonic_mean(row.iter().map(|r| r.ipc())).expect("ipcs");
+    for sc in configs {
+        let hm = records.harmonic_mean_ipc(sc, bench_suite)?;
         cells.push(format!("{:.1}%", pct_loss(base_hm, hm)));
     }
     fig.row(cells);
-    fig
+    Ok(fig)
 }
 
-/// Table 1 — the processor configuration.
-#[must_use]
-pub fn table1(harness: &Harness) -> Figure {
-    let c = harness.config();
+/// Table 1 — the processor configuration (reads no records; it takes them
+/// only to share the registry's signature).
+pub fn table1(_: &Records) -> Result<Figure, String> {
+    let c = ProcessorConfig::hpca2004();
     let mut fig = Figure::new(
         "tab1",
         "Processor configuration",
@@ -158,13 +236,12 @@ pub fn table1(harness: &Harness) -> Figure {
     for (k, v) in rows {
         fig.row(vec![k, v]);
     }
-    fig
+    Ok(fig)
 }
 
 /// Figure 2 — IPC loss of IssueFIFO w.r.t. the unbounded conventional queue
 /// (SPECint), sweeping the *integer* queues (FP fixed at 16×16).
-#[must_use]
-pub fn fig2(harness: &Harness) -> Figure {
+pub fn fig2(records: &Records) -> Result<Figure, String> {
     let configs: Vec<SchedulerConfig> = sweep()
         .into_iter()
         .map(|(q, e)| SchedulerConfig::issue_fifo(q, e, 16, 16))
@@ -172,18 +249,17 @@ pub fn fig2(harness: &Harness) -> Figure {
     let mut fig = ipc_loss_figure(
         "fig2",
         "IPC loss of IssueFIFO w.r.t. unbounded conventional issue queue (SPECint)",
-        harness,
+        records,
         &suite::spec_int(),
         &configs,
-    );
+    )?;
     fig.note("paper: losses are small (0–8%); more queues help, larger queues barely do");
-    fig
+    Ok(fig)
 }
 
 /// Figure 3 — IPC loss of IssueFIFO (SPECfp), sweeping the *FP* queues
 /// (integer fixed at 16×16).
-#[must_use]
-pub fn fig3(harness: &Harness) -> Figure {
+pub fn fig3(records: &Records) -> Result<Figure, String> {
     let configs: Vec<SchedulerConfig> = sweep()
         .into_iter()
         .map(|(q, e)| SchedulerConfig::issue_fifo(16, 16, q, e))
@@ -191,17 +267,16 @@ pub fn fig3(harness: &Harness) -> Figure {
     let mut fig = ipc_loss_figure(
         "fig3",
         "IPC loss of IssueFIFO w.r.t. unbounded conventional issue queue (SPECfp)",
-        harness,
+        records,
         &suite::spec_fp(),
         &configs,
-    );
+    )?;
     fig.note("paper: FP losses are much larger than integer ones (up to ~25%)");
-    fig
+    Ok(fig)
 }
 
 /// Figure 4 — IPC loss of LatFIFO (SPECfp).
-#[must_use]
-pub fn fig4(harness: &Harness) -> Figure {
+pub fn fig4(records: &Records) -> Result<Figure, String> {
     let configs: Vec<SchedulerConfig> = sweep()
         .into_iter()
         .map(|(q, e)| SchedulerConfig::lat_fifo(16, 16, q, e))
@@ -209,17 +284,16 @@ pub fn fig4(harness: &Harness) -> Figure {
     let mut fig = ipc_loss_figure(
         "fig4",
         "IPC loss of LatFIFO w.r.t. unbounded conventional issue queue (SPECfp)",
-        harness,
+        records,
         &suite::spec_fp(),
         &configs,
-    );
+    )?;
     fig.note("paper: ~10% better than IssueFIFO on average; queue size hardly matters");
-    fig
+    Ok(fig)
 }
 
 /// Figure 6 — IPC loss of MixBUFF (SPECfp), unbounded chains per queue.
-#[must_use]
-pub fn fig6(harness: &Harness) -> Figure {
+pub fn fig6(records: &Records) -> Result<Figure, String> {
     let configs: Vec<SchedulerConfig> = sweep()
         .into_iter()
         .map(|(q, e)| SchedulerConfig::mix_buff(16, 16, q, e, None))
@@ -227,26 +301,20 @@ pub fn fig6(harness: &Harness) -> Figure {
     let mut fig = ipc_loss_figure(
         "fig6",
         "IPC loss of MixBUFF w.r.t. unbounded conventional issue queue (SPECfp)",
-        harness,
+        records,
         &suite::spec_fp(),
         &configs,
-    );
+    )?;
     fig.note("paper: 8 queues x 16 entries loses only ~5%; buffer size matters more than count");
-    fig
+    Ok(fig)
 }
 
 /// The numeric claims sprinkled through Section 3's prose.
-#[must_use]
-pub fn section3_claims(harness: &Harness) -> Figure {
+pub fn section3_claims(records: &Records) -> Result<Figure, String> {
     let int_suite = suite::spec_int();
     let fp_suite = suite::spec_fp();
-    let base = SchedulerConfig::unbounded_baseline();
-
-    let hm = |sc: &SchedulerConfig, suite: &[WorkloadSpec]| -> f64 {
-        harmonic_mean(harness.run_suite(sc, suite).iter().map(|r| r.ipc())).expect("ipcs")
-    };
-    let base_int = hm(&base, &int_suite);
-    let base_fp = hm(&base, &fp_suite);
+    let hm = |sc: &SchedulerConfig, suite: &[WorkloadSpec]| records.harmonic_mean_ipc(sc, suite);
+    let base_fp = hm(&SchedulerConfig::unbounded_baseline(), &fp_suite)?;
 
     let mut fig = Figure::new(
         "sec3",
@@ -256,8 +324,8 @@ pub fn section3_claims(harness: &Harness) -> Figure {
 
     // (a) Integer FIFOs: 8→16 entries improves ~0.1% for 8/10/12 queues.
     for q in [8usize, 10, 12] {
-        let small = hm(&SchedulerConfig::issue_fifo(q, 8, 16, 16), &int_suite);
-        let large = hm(&SchedulerConfig::issue_fifo(q, 16, 16, 16), &int_suite);
+        let small = hm(&SchedulerConfig::issue_fifo(q, 8, 16, 16), &int_suite)?;
+        let large = hm(&SchedulerConfig::issue_fifo(q, 16, 16, 16), &int_suite)?;
         fig.row(vec![
             format!("IssueFIFO int {q} queues, 8->16 entries IPC gain"),
             "+0.1%".into(),
@@ -268,8 +336,8 @@ pub fn section3_claims(harness: &Harness) -> Figure {
     // (b) LatFIFO ≈ 10% better than IssueFIFO on FP (average over sweep).
     let mut gains = Vec::new();
     for (q, e) in sweep() {
-        let iff = hm(&SchedulerConfig::issue_fifo(16, 16, q, e), &fp_suite);
-        let lat = hm(&SchedulerConfig::lat_fifo(16, 16, q, e), &fp_suite);
+        let iff = hm(&SchedulerConfig::issue_fifo(16, 16, q, e), &fp_suite)?;
+        let lat = hm(&SchedulerConfig::lat_fifo(16, 16, q, e), &fp_suite)?;
         gains.push(100.0 * (lat - iff) / iff);
     }
     fig.row(vec![
@@ -277,7 +345,7 @@ pub fn section3_claims(harness: &Harness) -> Figure {
         "~ +10%".into(),
         format!(
             "{:+.1}%",
-            arithmetic_mean(gains.iter().copied()).expect("gains")
+            arithmetic_mean(gains.iter().copied()).ok_or("no sweep geometries")?
         ),
     ]);
 
@@ -300,95 +368,110 @@ pub fn section3_claims(harness: &Harness) -> Figure {
             "15.2%",
         ),
     ] {
-        let v = hm(&sc, &fp_suite);
+        let v = hm(&sc, &fp_suite)?;
         fig.row(vec![
             label.into(),
             paper.into(),
             format!("{:.1}%", pct_loss(base_fp, v)),
         ]);
     }
-    let _ = base_int;
-    fig
+    Ok(fig)
 }
 
-/// An IPC-per-benchmark figure (Figures 7 and 8).
-fn ipc_figure(id: &str, title: &str, harness: &Harness, bench_suite: &[WorkloadSpec]) -> Figure {
-    let schemes = [
+/// The baseline and the paper's two distributed schemes (Figures 7–15).
+fn paper_schemes() -> [SchedulerConfig; 3] {
+    [
         SchedulerConfig::iq_64_64(),
         SchedulerConfig::if_distr(),
         SchedulerConfig::mb_distr(),
-    ];
-    let matrix = harness.run_matrix(&schemes, bench_suite);
+    ]
+}
+
+/// An IPC-per-benchmark figure (Figures 7 and 8).
+fn ipc_figure(
+    id: &str,
+    title: &str,
+    records: &Records,
+    bench_suite: &[WorkloadSpec],
+) -> Result<Figure, String> {
+    let schemes = paper_schemes();
     let mut headers = vec!["benchmark".to_string()];
     headers.extend(schemes.iter().map(SchedulerConfig::label));
     let mut fig = Figure::new(id, title, headers);
-    for (b, bench) in bench_suite.iter().enumerate() {
+    for bench in bench_suite {
         let mut cells = vec![bench.name.clone()];
-        for row in &matrix {
-            cells.push(format!("{:.2}", row[b].ipc()));
+        for sc in &schemes {
+            cells.push(format!("{:.2}", records.ipc(sc, &bench.name)?));
         }
         fig.row(cells);
     }
     let mut cells = vec!["HARMEAN".to_string()];
-    for row in &matrix {
+    for sc in &schemes {
         cells.push(format!(
             "{:.2}",
-            harmonic_mean(row.iter().map(|r| r.ipc())).expect("ipcs")
+            records.harmonic_mean_ipc(sc, bench_suite)?
         ));
     }
     fig.row(cells);
-    fig
+    Ok(fig)
 }
 
 /// Figure 7 — IPC for the integer benchmarks.
-#[must_use]
-pub fn fig7(harness: &Harness) -> Figure {
+pub fn fig7(records: &Records) -> Result<Figure, String> {
     let mut fig = ipc_figure(
         "fig7",
         "Performance for the integer benchmarks (IPC)",
-        harness,
+        records,
         &suite::spec_int(),
-    );
+    )?;
     fig.note("paper: IF_distr and MB_distr behave identically on SPECint (except eon) and lose ~7.7% vs IQ_64_64");
-    fig
+    Ok(fig)
 }
 
 /// Figure 8 — IPC for the FP benchmarks.
-#[must_use]
-pub fn fig8(harness: &Harness) -> Figure {
+pub fn fig8(records: &Records) -> Result<Figure, String> {
     let mut fig = ipc_figure(
         "fig8",
         "Performance for the FP benchmarks (IPC)",
-        harness,
+        records,
         &suite::spec_fp(),
-    );
+    )?;
     fig.note("paper: IF_distr loses 26.0%, MB_distr only 7.6% vs IQ_64_64; MB_distr wins on every FP benchmark");
-    fig
+    Ok(fig)
 }
 
-/// Sums the issue-queue energy meters of a suite run.
-fn suite_energy(runs: &[Arc<SimStats>]) -> EnergyMeter {
-    let mut total = EnergyMeter::new();
+/// Each component's share of a suite's summed issue-queue energy, in
+/// [`ALL_COMPONENTS`] order. Sums per component in run order, then the
+/// total in component order — the same f64 operations as adding the runs'
+/// energy meters and taking `EnergyMeter::fraction`.
+fn suite_fractions(runs: &[&PointResult]) -> [f64; ALL_COMPONENTS.len()] {
+    let mut pj = [0.0; ALL_COMPONENTS.len()];
     for r in runs {
-        total += &r.energy;
+        for (label, e) in &r.energy_breakdown {
+            if let Some(i) = ALL_COMPONENTS.iter().position(|c| c.paper_label() == label) {
+                pj[i] += e;
+            }
+        }
     }
-    total
+    let total: f64 = pj.iter().sum();
+    pj.map(|e| if total == 0.0 { 0.0 } else { e / total })
 }
 
 /// An energy-breakdown figure (Figures 9–11).
-fn breakdown_figure(id: &str, title: &str, harness: &Harness, scheme: &SchedulerConfig) -> Figure {
-    let int_runs = harness.run_suite(scheme, &suite::spec_int());
-    let fp_runs = harness.run_suite(scheme, &suite::spec_fp());
-    let int_e = suite_energy(&int_runs);
-    let fp_e = suite_energy(&fp_runs);
+fn breakdown_figure(
+    id: &str,
+    title: &str,
+    records: &Records,
+    scheme: &SchedulerConfig,
+) -> Result<Figure, String> {
+    let int_e = suite_fractions(&records.suite(scheme, &suite::spec_int())?);
+    let fp_e = suite_fractions(&records.suite(scheme, &suite::spec_fp())?);
     let mut fig = Figure::new(
         id,
         title,
         vec!["component".into(), "SPECINT".into(), "SPECFP".into()],
     );
-    for c in ALL_COMPONENTS {
-        let i = int_e.fraction(c);
-        let f = fp_e.fraction(c);
+    for ((c, i), f) in ALL_COMPONENTS.iter().zip(int_e).zip(fp_e) {
         if i > 0.0005 || f > 0.0005 {
             fig.row(vec![
                 c.paper_label().to_string(),
@@ -397,60 +480,58 @@ fn breakdown_figure(id: &str, title: &str, harness: &Harness, scheme: &Scheduler
             ]);
         }
     }
-    fig
+    Ok(fig)
 }
 
 /// Figure 9 — energy breakdown of the `IQ_64_64` baseline.
-#[must_use]
-pub fn fig9(harness: &Harness) -> Figure {
+pub fn fig9(records: &Records) -> Result<Figure, String> {
     let mut fig = breakdown_figure(
         "fig9",
         "Energy breakdown for IQ_64_64",
-        harness,
+        records,
         &SchedulerConfig::iq_64_64(),
-    );
+    )?;
     fig.note("paper: wakeup dominates even with unready-only comparators; buff and select follow; MuxIntALU is the visible mux");
-    fig
+    Ok(fig)
 }
 
 /// Figure 10 — energy breakdown of `IF_distr`.
-#[must_use]
-pub fn fig10(harness: &Harness) -> Figure {
+pub fn fig10(records: &Records) -> Result<Figure, String> {
     let mut fig = breakdown_figure(
         "fig10",
         "Energy breakdown for IF_distr",
-        harness,
+        records,
         &SchedulerConfig::if_distr(),
-    );
+    )?;
     fig.note("paper: Qrename 25-30%, fifo ~35%, regs_ready ~35%, mux negligible");
-    fig
+    Ok(fig)
 }
 
 /// Figure 11 — energy breakdown of `MB_distr`.
-#[must_use]
-pub fn fig11(harness: &Harness) -> Figure {
+pub fn fig11(records: &Records) -> Result<Figure, String> {
     let mut fig = breakdown_figure(
         "fig11",
         "Energy breakdown for MB_distr",
-        harness,
+        records,
         &SchedulerConfig::mb_distr(),
-    );
+    )?;
     fig.note(
         "paper: like IF_distr on SPECint; on SPECfp adds buff/select/chains terms, reg negligible",
     );
-    fig
+    Ok(fig)
 }
 
 /// Shared builder for the normalized comparisons of Figures 12–15.
-fn normalized_figure<F>(id: &str, title: &str, harness: &Harness, metric: F) -> Figure
+fn normalized_figure<F>(
+    id: &str,
+    title: &str,
+    records: &Records,
+    metric: F,
+) -> Result<Figure, String>
 where
-    F: Fn(&SimStats, &SimStats) -> f64,
+    F: Fn(&PointResult, &PointResult) -> f64,
 {
-    let schemes = [
-        SchedulerConfig::iq_64_64(),
-        SchedulerConfig::if_distr(),
-        SchedulerConfig::mb_distr(),
-    ];
+    let schemes = paper_schemes();
     let mut fig = Figure::new(
         id,
         title,
@@ -458,83 +539,72 @@ where
     );
     let int_suite = suite::spec_int();
     let fp_suite = suite::spec_fp();
-    let base_int = harness.run_suite(&schemes[0], &int_suite);
-    let base_fp = harness.run_suite(&schemes[0], &fp_suite);
+    let base_int = records.suite(&schemes[0], &int_suite)?;
+    let base_fp = records.suite(&schemes[0], &fp_suite)?;
     for sc in &schemes {
         let mut cells = vec![sc.label()];
         for (bench_suite, base_runs) in [(&int_suite, &base_int), (&fp_suite, &base_fp)] {
-            let runs = harness.run_suite(sc, bench_suite);
-            let vals: Vec<f64> = runs
-                .iter()
-                .zip(base_runs.iter())
-                .map(|(r, b)| metric(r, b))
-                .collect();
-            cells.push(format!(
-                "{:.3}",
-                arithmetic_mean(vals.iter().copied()).expect("values")
-            ));
+            let runs = records.suite(sc, bench_suite)?;
+            let vals = runs.iter().zip(base_runs).map(|(r, b)| metric(r, b));
+            let mean = arithmetic_mean(vals).ok_or("no benchmarks to average")?;
+            cells.push(format!("{mean:.3}"));
         }
         fig.row(cells);
     }
-    fig
+    Ok(fig)
 }
 
 /// Figure 12 — normalized issue-queue power dissipation.
-#[must_use]
-pub fn fig12(harness: &Harness) -> Figure {
+pub fn fig12(records: &Records) -> Result<Figure, String> {
     let mut fig = normalized_figure(
         "fig12",
         "Normalized issue-queue power dissipation",
-        harness,
-        |r, b| r.power_pj_per_cycle() / b.power_pj_per_cycle(),
-    );
+        records,
+        |r, b| power_pj_per_cycle(r) / power_pj_per_cycle(b),
+    )?;
     fig.note("paper: both distributed schemes dissipate a small fraction of the baseline's power");
-    fig
+    Ok(fig)
 }
 
 /// Figure 13 — normalized issue-queue energy consumption.
-#[must_use]
-pub fn fig13(harness: &Harness) -> Figure {
+pub fn fig13(records: &Records) -> Result<Figure, String> {
     let mut fig = normalized_figure(
         "fig13",
         "Normalized issue-queue energy consumption",
-        harness,
-        |r, b| r.energy_pj() / b.energy_pj(),
-    );
+        records,
+        |r, b| r.energy_pj / b.energy_pj,
+    )?;
     fig.note(
         "paper: MB_distr spends slightly more than IF_distr on SPECfp, both far below IQ_64_64",
     );
-    fig
+    Ok(fig)
 }
 
 /// Figure 14 — normalized whole-chip energy × delay (issue queue = 23% of
 /// chip power in the baseline).
-#[must_use]
-pub fn fig14(harness: &Harness) -> Figure {
-    let mut fig = normalized_figure("fig14", "Normalized energy x delay", harness, |r, b| {
+pub fn fig14(records: &Records) -> Result<Figure, String> {
+    let mut fig = normalized_figure("fig14", "Normalized energy x delay", records, |r, b| {
         ChipEnergy::derive(r, b).ed() / ChipEnergy::derive(b, b).ed()
-    });
+    })?;
     fig.note("paper: MB_distr beats the baseline by ~5% and IF_distr by ~18% on SPECfp");
-    fig
+    Ok(fig)
 }
 
 /// Figure 15 — normalized whole-chip energy × delay².
-#[must_use]
-pub fn fig15(harness: &Harness) -> Figure {
-    let mut fig = normalized_figure("fig15", "Normalized energy x delay^2", harness, |r, b| {
+pub fn fig15(records: &Records) -> Result<Figure, String> {
+    let mut fig = normalized_figure("fig15", "Normalized energy x delay^2", records, |r, b| {
         ChipEnergy::derive(r, b).ed2() / ChipEnergy::derive(b, b).ed2()
-    });
+    })?;
     fig.note("paper: MB_distr ~= baseline; 35% better than IF_distr on SPECfp");
-    fig
+    Ok(fig)
 }
 
 /// The abstract/conclusion headline numbers.
-#[must_use]
-pub fn headline(harness: &Harness) -> Figure {
-    let fig14 = fig14(harness);
-    let fig15 = fig15(harness);
-    let fig7 = fig7(harness);
-    let fig8 = fig8(harness);
+pub fn headline(records: &Records) -> Result<Figure, String> {
+    let fig14 = fig14(records)?;
+    let fig15 = fig15(records)?;
+    let fig7 = fig7(records)?;
+    let fig8 = fig8(records)?;
 
     let mut fig = Figure::new(
         "headline",
@@ -542,12 +612,15 @@ pub fn headline(harness: &Harness) -> Figure {
         vec!["claim".into(), "paper".into(), "measured".into()],
     );
 
-    let v = |f: &Figure, row: &str, col: &str| f.value(row, col).expect("cell exists");
+    let v = |f: &Figure, row: &str, col: &str| {
+        f.value(row, col)
+            .ok_or_else(|| format!("{} has no numeric {row}/{col} cell", f.id))
+    };
 
-    let ed_mb = v(&fig14, "MB_distr", "SPECFP");
-    let ed_if = v(&fig14, "IF_distr", "SPECFP");
-    let ed2_mb = v(&fig15, "MB_distr", "SPECFP");
-    let ed2_if = v(&fig15, "IF_distr", "SPECFP");
+    let ed_mb = v(&fig14, "MB_distr", "SPECFP")?;
+    let ed_if = v(&fig14, "IF_distr", "SPECFP")?;
+    let ed2_mb = v(&fig15, "MB_distr", "SPECFP")?;
+    let ed2_if = v(&fig15, "IF_distr", "SPECFP")?;
     fig.row(vec![
         "ED^2: MB_distr vs IF_distr (SPECfp)".into(),
         "-35%".into(),
@@ -569,9 +642,9 @@ pub fn headline(harness: &Harness) -> Figure {
         format!("{:+.1}%", 100.0 * (ed2_mb - 1.0)),
     ]);
 
-    let hm_base_fp = v(&fig8, "HARMEAN", "IQ_64_64");
-    let hm_mb_fp = v(&fig8, "HARMEAN", "MB_distr");
-    let hm_if_fp = v(&fig8, "HARMEAN", "IF_distr");
+    let hm_base_fp = v(&fig8, "HARMEAN", "IQ_64_64")?;
+    let hm_mb_fp = v(&fig8, "HARMEAN", "MB_distr")?;
+    let hm_if_fp = v(&fig8, "HARMEAN", "IF_distr")?;
     fig.row(vec![
         "FP IPC loss: MB_distr vs IQ_64_64".into(),
         "7.6%".into(),
@@ -582,50 +655,117 @@ pub fn headline(harness: &Harness) -> Figure {
         "26.0%".into(),
         format!("{:.1}%", pct_loss(hm_base_fp, hm_if_fp)),
     ]);
-    let hm_base_int = v(&fig7, "HARMEAN", "IQ_64_64");
-    let hm_mb_int = v(&fig7, "HARMEAN", "MB_distr");
+    let hm_base_int = v(&fig7, "HARMEAN", "IQ_64_64")?;
+    let hm_mb_int = v(&fig7, "HARMEAN", "MB_distr")?;
     fig.row(vec![
         "INT IPC loss: MB_distr/IF_distr vs IQ_64_64".into(),
         "7.7%".into(),
         format!("{:.1}%", pct_loss(hm_base_int, hm_mb_int)),
     ]);
-    fig
+    Ok(fig)
 }
 
-/// Every artifact, in paper order (convenient for a full reproduction run).
-#[must_use]
-pub fn all(harness: &Harness) -> Vec<Figure> {
-    vec![
-        table1(harness),
-        fig2(harness),
-        fig3(harness),
-        fig4(harness),
-        fig6(harness),
-        section3_claims(harness),
-        fig7(harness),
-        fig8(harness),
-        fig9(harness),
-        fig10(harness),
-        fig11(harness),
-        fig12(harness),
-        fig13(harness),
-        fig14(harness),
-        fig15(harness),
-        headline(harness),
-    ]
+/// Ablation: how many chains per queue does MixBUFF actually need?
+///
+/// The paper fixes `MB_distr` at 8 chains per FP queue after noting that
+/// chains are what let multiple dependence sequences share a buffer. This
+/// measures SPECfp harmonic-mean IPC as the per-queue chain budget shrinks
+/// from 16 to 1 (at 1 chain per queue, MixBUFF degenerates into a
+/// throughput-limited IssueFIFO-like structure).
+pub fn ablation_chains(records: &Records) -> Result<Figure, String> {
+    let fp = suite::spec_fp();
+    let base_hm = records.harmonic_mean_ipc(&SchedulerConfig::unbounded_baseline(), &fp)?;
+    let mut fig = Figure::new(
+        "ablation_chains",
+        "MixBUFF 8x16: SPECfp IPC loss vs chains per queue",
+        vec![
+            "chains/queue".into(),
+            "HARMEAN IPC".into(),
+            "loss vs unbounded IQ".into(),
+        ],
+    );
+    for chains in [1usize, 2, 4, 8, 16] {
+        let sc = SchedulerConfig::mix_buff(16, 16, 8, 16, Some(chains));
+        let hm = records.harmonic_mean_ipc(&sc, &fp)?;
+        fig.row(vec![
+            format!("{chains}"),
+            format!("{hm:.2}"),
+            format!("{:.1}%", pct_loss(base_hm, hm)),
+        ]);
+    }
+    fig.note("paper: MB_distr uses 8 chains/queue; Figure 6 assumed unbounded chains");
+    Ok(fig)
+}
+
+/// Ablation: what is the paper's selection-priority heuristic worth?
+///
+/// MixBUFF gives instructions whose chain finishes *this cycle* priority
+/// over instructions that became ready earlier but were delayed ("this
+/// heuristic avoids selecting instructions that depend on either loads that
+/// missed in cache or unfinished instructions of other queues"). This
+/// compares `MB_distr` against the same machine selecting purely
+/// oldest-first.
+pub fn ablation_priority(records: &Records) -> Result<Figure, String> {
+    let mut fig = Figure::new(
+        "ablation_priority",
+        "MB_distr selection: paper heuristic vs oldest-first (SPECfp IPC)",
+        vec![
+            "benchmark".into(),
+            "fresh-first (paper)".into(),
+            "oldest-first".into(),
+            "heuristic gain".into(),
+        ],
+    );
+    for bench in suite::spec_fp() {
+        let with = records.ipc(&SchedulerConfig::mb_distr(), &bench.name)?;
+        let without = records.ipc(&SchedulerConfig::mb_distr_age_only(), &bench.name)?;
+        fig.row(vec![
+            bench.name.clone(),
+            format!("{with:.2}"),
+            format!("{without:.2}"),
+            format!("{:+.1}%", -pct_loss(without, with)),
+        ]);
+    }
+    fig.note("paper argues the heuristic avoids wasting each queue's single selection slot on blocked instructions");
+    Ok(fig)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use diq_exp::{Point, ResultStore};
+    use diq_power::EnergyMeter;
+    use std::sync::OnceLock;
 
-    fn tiny() -> Harness {
-        Harness::with_instructions(400)
+    /// The paper-schemes grid at 400 instructions, swept once into a
+    /// temp-dir store and shared by every test here.
+    fn tiny() -> &'static Records {
+        static RECORDS: OnceLock<Records> = OnceLock::new();
+        RECORDS.get_or_init(|| {
+            let dir = std::env::temp_dir().join(format!("diq-sim-figs-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let store = ResultStore::open(&dir).unwrap();
+            let spec = Grid::PaperSchemes.spec(400);
+            let outcome = diq_exp::sweep(&spec, &store, 2).unwrap();
+            let _ = std::fs::remove_dir_all(&dir);
+            Records::new(outcome.records.into_iter().map(|r| r.result))
+        })
+    }
+
+    #[test]
+    fn registry_ids_are_unique_and_name_their_figures() {
+        for (i, a) in REGISTRY.iter().enumerate() {
+            assert!(REGISTRY[..i].iter().all(|b| b.id != a.id), "{} twice", a.id);
+            assert_eq!(by_id(a.id).map(|b| b.id), Some(a.id));
+        }
+        assert_eq!(paper().count(), 16);
+        assert!(by_id("fig5").is_none());
+        assert!(ids().starts_with("tab1, fig2,"));
     }
 
     #[test]
     fn table1_lists_every_parameter() {
-        let t = table1(&tiny());
+        let t = table1(&Records::new([])).unwrap();
         assert!(t.rows.len() >= 13);
         assert!(t
             .cell("reorder buffer", "configuration")
@@ -635,14 +775,14 @@ mod tests {
 
     #[test]
     fn fig7_has_12_benchmarks_plus_harmean() {
-        let f = fig7(&tiny());
+        let f = fig7(tiny()).unwrap();
         assert_eq!(f.rows.len(), 13);
         assert!(f.value("HARMEAN", "IQ_64_64").unwrap() > 0.0);
     }
 
     #[test]
     fn fig9_breakdown_sums_to_one() {
-        let f = fig9(&tiny());
+        let f = fig9(tiny()).unwrap();
         for col in ["SPECINT", "SPECFP"] {
             let total: f64 = f.rows.iter().map(|r| f.value(&r[0], col).unwrap()).sum();
             assert!((total - 100.0).abs() < 1.0, "{col} sums to {total}");
@@ -654,7 +794,7 @@ mod tests {
 
     #[test]
     fn fig10_has_fifo_components_not_wakeup() {
-        let f = fig10(&tiny());
+        let f = fig10(tiny()).unwrap();
         assert!(f.cell("Qrename", "SPECINT").is_some());
         assert!(f.cell("wakeup", "SPECINT").is_none());
     }
@@ -664,8 +804,70 @@ mod tests {
         // 400 instructions is too short for meaningful power ratios (the
         // integration suite checks MB_distr < baseline at realistic length);
         // here we only verify the normalization identity.
-        let f = fig12(&tiny());
+        let f = fig12(tiny()).unwrap();
         assert!((f.value("IQ_64_64", "SPECINT").unwrap() - 1.0).abs() < 1e-9);
         assert!(f.value("MB_distr", "SPECFP").unwrap() > 0.0);
+    }
+
+    #[test]
+    fn stored_breakdowns_give_the_energy_meters_fractions_bit_for_bit() {
+        let runs: Vec<(diq_power::EnergyMeter, PointResult)> = ["gzip", "swim", "art"]
+            .iter()
+            .map(|b| {
+                let p = Point::new(
+                    ProcessorConfig::hpca2004(),
+                    SchedulerConfig::mb_distr(),
+                    suite::by_name(b).unwrap(),
+                    700,
+                );
+                let stats = p.execute();
+                // Through the store's text form, as figures read it.
+                let json = serde_json::to_string(&PointResult::from_stats(&p, &stats)).unwrap();
+                (stats.energy, serde_json::from_str(&json).unwrap())
+            })
+            .collect();
+        let mut meter = EnergyMeter::new();
+        for (m, _) in &runs {
+            meter += m;
+        }
+        let stored: Vec<&PointResult> = runs.iter().map(|(_, r)| r).collect();
+        let fractions = suite_fractions(&stored);
+        for (c, f) in ALL_COMPONENTS.iter().zip(fractions) {
+            assert_eq!(f.to_bits(), meter.fraction(*c).to_bits(), "{c}");
+        }
+    }
+
+    #[test]
+    fn doctored_records_are_errors_naming_scheme_and_benchmark() {
+        let doctor = |edit: fn(&mut PointResult)| {
+            let mut records = tiny().clone();
+            let key = ("MB_distr".to_string(), "swim".to_string());
+            edit(records.by_point.get_mut(&key).unwrap());
+            records
+        };
+        for (edit, what) in [
+            ((|r| r.ipc = 0.0) as fn(&mut PointResult), "ipc 0"),
+            (|r| r.ipc = f64::NAN, "ipc NaN"),
+            (|r| r.cycles = 0, "0 cycles"),
+            (|r| r.energy_pj = f64::INFINITY, "energy inf"),
+            (|r| r.energy_breakdown[0].1 = -1.0, "energy -1"),
+            (|r| r.energy_breakdown[0].0 = "bogus".into(), "`bogus`"),
+        ] {
+            let records = doctor(edit);
+            for build in [fig8 as Build, fig11, fig14, headline] {
+                let err = build(&records).unwrap_err();
+                assert!(
+                    err.contains("MB_distr on swim") && err.contains(what),
+                    "{err}"
+                );
+            }
+        }
+        let mut records = tiny().clone();
+        records.by_point.retain(|(_, b), _| b != "gzip");
+        let err = fig7(&records).unwrap_err();
+        assert!(
+            err.contains("no stored record for IQ_64_64 on gzip"),
+            "{err}"
+        );
     }
 }

@@ -22,10 +22,10 @@ ci: verify
     cargo test -q --workspace
     cargo fmt --all --check
     cargo clippy --all-targets --workspace -- -D warnings
-    cargo bench --no-run --workspace
 
-# Regenerate every paper artifact (DIQ_INSTRS trades time for fidelity;
-# 100k/5M-style suffixes accepted).
+# Regenerate every paper artifact from the store in ./results, simulating
+# only the points it does not hold yet (DIQ_INSTRS trades time for
+# fidelity; 100k/5M-style suffixes accepted).
 figures:
     cargo run --release -- figures
 
@@ -120,21 +120,25 @@ bench-replay bench="misschase":
 bench-adaptive:
     cargo run --release --example adaptive_geometry
 
-# Simulator-throughput benchmark: simulated instrs/sec per scheme, the
-# event-driven wakeup vs the frozen scan reference, appended to the local
-# store as BENCH_throughput.json — the same measurement CI's artifacts
-# track. Set DIQ_TP_BASELINE_BIN to a `diq` built from an older commit to
-# also record end-to-end speedup versus that binary.
+# Simulator-throughput benchmark over the stress grid: simulated
+# instrs/sec per point, event-driven wakeup vs the frozen scan reference,
+# written to BENCH_stress-1m.json. Pass `--baseline <BENCH_*.json>` by hand
+# to gate against an earlier record.
 bench-throughput:
     cargo build --release
-    cargo bench -p diq-bench --bench throughput
+    ./target/release/diq bench experiments/stress_1m.json
 
-# One fast end-to-end pass over the bench targets' machinery: compile all
-# 19 bench executables and run the two headline ones at a tiny budget.
+# The CI figures check, locally: every paper artifact at a tiny budget
+# twice from one store — the second pass must print the same text and
+# append nothing.
 bench-smoke:
-    cargo bench --no-run --workspace
-    DIQ_INSTRS=2000 cargo bench -p diq-bench --bench tab1_config
-    DIQ_INSTRS=2000 cargo bench -p diq-bench --bench headline_claims
+    cargo build --release
+    rm -rf ci-figs
+    DIQ_INSTRS=2000 ./target/release/diq figures --store ci-figs > figs-first.txt
+    wc -l < ci-figs/store.jsonl > figs-lines.txt
+    DIQ_INSTRS=2000 ./target/release/diq figures --store ci-figs > figs-second.txt
+    cmp figs-first.txt figs-second.txt
+    wc -l < ci-figs/store.jsonl | cmp - figs-lines.txt
 
 # Remove build output.
 clean:

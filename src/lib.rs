@@ -14,7 +14,7 @@
 //! | [`mem`] | `diq-mem` | cache hierarchy |
 //! | [`power`] | `diq-power` | CACTI-lite energy model + activity meter |
 //! | [`stats`] | `diq-stats` | counters, means, text tables |
-//! | [`sim`] | `diq-sim` | the experiment harness for every paper figure |
+//! | [`sim`] | `diq-sim` | every paper figure, as a query over stored results |
 //!
 //! # Quickstart
 //!
@@ -67,8 +67,8 @@ pub mod stats {
     pub use diq_stats::*;
 }
 
-/// Experiment harness for the paper's tables and figures (re-export of
-/// `diq-sim`).
+/// The paper's tables and figures, built from stored results (re-export
+/// of `diq-sim`).
 pub mod sim {
     pub use diq_sim::*;
 }

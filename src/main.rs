@@ -5,9 +5,9 @@
 //! diq list                          benchmarks and schemes
 //! diq run <scheme> <workload> [n]   one simulation, full statistics
 //! diq trace record|info|ingest      record, inspect, ingest .diqt traces
-//! diq figure <id>                   regenerate one paper artifact (fig2..fig15,
-//!                                   tab1, sec3, headline)
-//! diq figures                       regenerate everything
+//! diq figure <id>                   one paper artifact (tab1, fig2..fig15, sec3,
+//!                                   headline, ablation_*), built from the store
+//! diq figures                       every paper artifact, built from the store
 //! diq sweep <spec.json>             run an experiment grid, resumably
 //! diq bench <spec.json>             simulator-throughput run over a grid
 //! diq compare <run-a> <run-b>       per-point deltas + regression gate
@@ -23,34 +23,12 @@ use diq::exp::{
     ThroughputProbe, ThroughputSummary,
 };
 use diq::serve::{run_worker, Client, ServeConfig, WorkerOptions};
-use diq::sim::{figures, Figure, Harness};
+use diq::sim::figures;
 use diq::workload::{suite, trace, TraceGenerator, WorkloadSource};
 use std::time::Duration;
 
 /// Default `diq serve` endpoint, shared by server, worker and submit.
 const DEFAULT_SERVE_ADDR: &str = "127.0.0.1:7457";
-
-fn figure_by_id(id: &str, h: &Harness) -> Option<Figure> {
-    Some(match id {
-        "tab1" => figures::table1(h),
-        "fig2" => figures::fig2(h),
-        "fig3" => figures::fig3(h),
-        "fig4" => figures::fig4(h),
-        "fig6" => figures::fig6(h),
-        "sec3" => figures::section3_claims(h),
-        "fig7" => figures::fig7(h),
-        "fig8" => figures::fig8(h),
-        "fig9" => figures::fig9(h),
-        "fig10" => figures::fig10(h),
-        "fig11" => figures::fig11(h),
-        "fig12" => figures::fig12(h),
-        "fig13" => figures::fig13(h),
-        "fig14" => figures::fig14(h),
-        "fig15" => figures::fig15(h),
-        "headline" => figures::headline(h),
-        _ => return None,
-    })
-}
 
 fn usage() -> ! {
     eprintln!(
@@ -60,8 +38,8 @@ fn usage() -> ! {
          diq trace record <workload> [-n COUNT] [-o FILE.diqt]\n  \
          diq trace info <FILE.diqt> [--json]\n  \
          diq trace ingest <FILE.csv|-> -o FILE.diqt [-n NAME]\n  \
-         diq figure <id>\n  \
-         diq figures\n  \
+         diq figure <id> [--store DIR]\n  \
+         diq figures [--store DIR]\n  \
          diq sweep <spec.json> [--store DIR] [--threads N] [--name RUN] [--summary-json FILE|-]\n  \
          diq bench <spec.json> [--name RUN] [--out DIR] [--e2e-bin BIN]\n  \
          \x20         [--baseline FILE] [--min-ratio X]\n  \
@@ -77,8 +55,10 @@ fn usage() -> ! {
          seeded), trace:path/to/f.diqt (recorded streams), group:all, or a\n\
          bare name. `diq trace record` replays bit-identically via trace:.\n\
          Instruction counts accept 100k/5M/1G suffixes, here and in DIQ_INSTRS\n\
-         (the per-benchmark count for figures). The result store defaults to\n\
-         ./results; `diq compare` exits 1 when run-b's geomean IPC regresses\n\
+         (the per-benchmark count for figures). Figures sweep the grids under\n\
+         experiments/figures/ against the store and read their records, so a\n\
+         warm store renders them without simulating. The result store defaults\n\
+         to ./results; `diq compare` exits 1 when run-b's geomean IPC regresses\n\
          more than the threshold (default 2%) against run-a. Either compare\n\
          side may be a stored run name or a path to an exported BENCH_*.json.\n\
          `diq bench` measures simulated instrs/sec per grid point (event vs\n\
@@ -144,7 +124,7 @@ fn cmd_run(args: &[String]) {
             .unwrap_or_else(|| fail(format!("bad instruction count `{s}` (try 250000 or 100k)"))),
         None => diq::exp::DEFAULT_INSTRUCTIONS,
     };
-    // One execution path with the harness and `diq sweep`: a Point streams
+    // One execution path with figures and `diq sweep`: a Point streams
     // its workload, so memory stays O(1) in the instruction count.
     let cfg = diq::isa::ProcessorConfig::hpca2004();
     let stats = Point::from_source(cfg, scheme, source, n).execute();
@@ -158,6 +138,38 @@ fn cmd_run(args: &[String]) {
             100.0 * stats.energy.fraction(c)
         );
     }
+}
+
+/// `diq figure <id>` (`all` false) and `diq figures` (`all` true): sweeps
+/// the grids the artifacts read against the store, then renders them from
+/// the stored records.
+fn cmd_figures(args: &[String], all: bool) {
+    let (positional, flags) = parse_flags(args, &["store"]);
+    let artifacts: Vec<&figures::Artifact> = match (all, positional.as_slice()) {
+        (true, []) => figures::paper().collect(),
+        (false, [id]) => vec![figures::by_id(id)
+            .unwrap_or_else(|| fail(format!("unknown figure `{id}` (known: {})", figures::ids())))],
+        _ => usage(),
+    };
+    let instructions = diq::sim::instructions_from_env().unwrap_or_else(|e| fail(e));
+    let store = open_store(&flags);
+    let run = diq::sim::reproduce(
+        &artifacts,
+        instructions,
+        &store,
+        diq::exp::default_threads(),
+    )
+    .unwrap_or_else(|e| fail(e));
+    for fig in &run.figures {
+        println!("{fig}");
+    }
+    eprintln!(
+        "figures: {} points, {} computed, {} cached, store {}",
+        run.computed + run.cached,
+        run.computed,
+        run.cached,
+        store.root().display(),
+    );
 }
 
 fn cmd_sweep(args: &[String]) {
@@ -797,25 +809,8 @@ fn main() {
             );
         }
         Some("run") => cmd_run(&args[1..]),
-        Some("figure") => {
-            let Some(id) = args.get(1) else { usage() };
-            let h = Harness::new();
-            match figure_by_id(id, &h) {
-                Some(fig) => println!("{fig}"),
-                None => {
-                    eprintln!(
-                        "unknown figure `{id}` (tab1, fig2-fig4, fig6-fig15, sec3, headline)"
-                    );
-                    std::process::exit(1);
-                }
-            }
-        }
-        Some("figures") => {
-            let h = Harness::new();
-            for fig in figures::all(&h) {
-                println!("{fig}");
-            }
-        }
+        Some("figure") => cmd_figures(&args[1..], false),
+        Some("figures") => cmd_figures(&args[1..], true),
         Some("trace") => cmd_trace(&args[1..]),
         Some("sweep") => cmd_sweep(&args[1..]),
         Some("bench") => cmd_bench(&args[1..]),

@@ -9,32 +9,49 @@
 //! scratch vectors) is identical in both runs, so if the long run
 //! allocates *at all* after warm-up the counts differ. This is an
 //! integration test on purpose: `#[global_allocator]` is per-binary, so
-//! the counter cannot interfere with any other test.
+//! the counter cannot interfere with any other test binary. Within this
+//! binary the tests run on parallel threads, so the count is kept per
+//! thread: each measurement sees only its own thread's allocations.
 
 use diq::isa::ProcessorConfig;
 use diq::pipeline::{Simulator, TraceSource};
 use diq::sched::SchedulerConfig;
 use diq::workload::{suite, trace, TraceGenerator, TraceReader};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const` initialisation: no lazy-init path, so touching the counter
+    // from inside the allocator never allocates itself.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation on the calling thread. `try_with` because an
+/// allocation can happen while the thread's locals are being torn down.
+fn count_allocation() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made so far by the calling thread.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -57,9 +74,9 @@ fn allocations_during_run(
 ) -> u64 {
     let mut sim = Simulator::new(cfg, sched);
     let mut source = TraceSource::new(trace.iter().copied().take(instructions as usize));
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     let stats = sim.run_workload(&mut source, instructions);
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(stats.committed, instructions);
     after - before
 }
@@ -77,9 +94,9 @@ fn allocations_during_replay(
     let mut sim = Simulator::new(cfg, sched);
     reader.set_speculative(speculative);
     reader.set_limit(instructions);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     let stats = sim.run_workload(reader, instructions);
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(reader.error(), None);
     assert_eq!(stats.committed, instructions);
     after - before
@@ -130,9 +147,9 @@ fn trace_replay_allocates_nothing_in_steady_state() {
     for sched in [SchedulerConfig::mb_distr(), SchedulerConfig::iq_64_64()] {
         let mut sim = Simulator::new(&wp_cfg, &sched);
         let mut generator = TraceGenerator::new(&spec);
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let before = allocations();
         let _ = sim.run_workload(&mut generator, long);
-        let from_generator = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        let from_generator = allocations() - before;
 
         let mut reader = TraceReader::open(&path).unwrap();
         let from_replay = allocations_during_replay(&wp_cfg, &sched, &mut reader, long, true);

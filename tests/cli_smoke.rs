@@ -149,3 +149,80 @@ fn diq_run_resolves_workload_uris() {
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(stderr.contains("error"), "{stderr}");
 }
+
+/// `diq figure` against a fresh store under the temp dir.
+fn diq_figure(id: &str, store: &std::path::Path, instrs: &str) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_diq"))
+        .args(["figure", id, "--store"])
+        .arg(store)
+        .env("DIQ_INSTRS", instrs)
+        .output()
+        .expect("run `diq figure`")
+}
+
+#[test]
+fn bad_diq_instrs_is_an_error_not_a_panic() {
+    let store = std::env::temp_dir().join(format!("diq-cli-instrs-{}", std::process::id()));
+    for bad in ["12kb", "0", "lots"] {
+        let out = diq_figure("fig7", &store, bad);
+        assert_eq!(out.status.code(), Some(1), "DIQ_INSTRS={bad}: {out:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            stderr.starts_with("error: DIQ_INSTRS=") && !stderr.contains("panicked"),
+            "{stderr}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(store);
+}
+
+#[test]
+fn unknown_figure_lists_the_registry() {
+    let store = std::env::temp_dir().join(format!("diq-cli-unknown-{}", std::process::id()));
+    let out = diq_figure("fig5", &store, "300");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("unknown figure `fig5`"), "{stderr}");
+    for artifact in &diq::sim::figures::REGISTRY {
+        assert!(
+            stderr.contains(artifact.id),
+            "{stderr} misses {}",
+            artifact.id
+        );
+    }
+    let _ = std::fs::remove_dir_all(store);
+}
+
+#[test]
+fn doctored_store_record_is_an_error_naming_figure_scheme_and_benchmark() {
+    let store = std::env::temp_dir().join(format!("diq-cli-doctored-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store);
+    let out = diq_figure("fig7", &store, "300");
+    assert!(out.status.success(), "cold fig7: {out:?}");
+
+    // Hand-edit MB_distr's gzip record to an IPC of 0: the harmonic mean
+    // is undefined.
+    let path = store.join("store.jsonl");
+    let text = std::fs::read_to_string(&path).unwrap();
+    let doctored: Vec<String> = text
+        .lines()
+        .map(|line| {
+            if !line.contains(r#""scheme":"MB_distr","benchmark":"gzip""#) {
+                return line.to_string();
+            }
+            let at = line.find(r#""ipc":"#).expect("ipc field") + r#""ipc":"#.len();
+            let end = at + line[at..].find(',').unwrap();
+            format!("{}0.0{}", &line[..at], &line[end..])
+        })
+        .collect();
+    assert_ne!(doctored.join("\n") + "\n", text, "no MB_distr/gzip record");
+    std::fs::write(&path, doctored.join("\n") + "\n").unwrap();
+
+    let out = diq_figure("fig7", &store, "300");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        stderr.contains("error: fig7: stored record for MB_distr on gzip: ipc 0"),
+        "{stderr}"
+    );
+    let _ = std::fs::remove_dir_all(store);
+}
