@@ -23,9 +23,8 @@
 //! (the property `tests/proptest_resize.rs` hammers).
 
 use crate::energy::CamEnergy;
-use crate::fifo::Entry;
 use crate::fu::FuTopology;
-use crate::soa::EntryStore;
+use crate::soa::{Entry, EntryStore};
 use crate::wakeup::{WakeupEvent, WakeupMap};
 use crate::{DispatchInst, DispatchStall, IssueSink, Scheduler, Side};
 use diq_isa::{Cycle, InstId, PhysReg, ProcessorConfig, RegClass};

@@ -21,9 +21,8 @@
 //! [`reference`](crate::reference).
 
 use crate::energy::CamEnergy;
-use crate::fifo::Entry;
 use crate::fu::FuTopology;
-use crate::soa::EntryStore;
+use crate::soa::{Entry, EntryStore};
 use crate::wakeup::{WakeupEvent, WakeupMap};
 use crate::{DispatchInst, DispatchStall, IssueSink, Scheduler, Side};
 use diq_isa::{Cycle, InstId, PhysReg, ProcessorConfig, RegClass};

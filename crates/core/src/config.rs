@@ -415,6 +415,62 @@ impl SchedulerConfig {
         }
     }
 
+    /// Checks the geometry the scheme's structures are sized from: every
+    /// entry, queue, bank and chain count must be at least 1.
+    /// [`build`](Self::build) panics on a configuration this rejects.
+    ///
+    /// # Errors
+    ///
+    /// Names the scheme and the first zero field, e.g.
+    /// `scheme IssueFIFO_0x8_8x16: int.queues must be at least 1`.
+    pub fn validate(&self) -> Result<(), String> {
+        let fields = match self {
+            SchedulerConfig::Cam {
+                int_entries,
+                fp_entries,
+                banks,
+            }
+            | SchedulerConfig::AdaptiveCam {
+                int_entries,
+                fp_entries,
+                banks,
+                ..
+            } => vec![
+                ("int_entries", *int_entries),
+                ("fp_entries", *fp_entries),
+                ("banks", *banks),
+            ],
+            SchedulerConfig::IssueFifo { int, fp, .. }
+            | SchedulerConfig::LatFifo { int, fp, .. } => {
+                vec![
+                    ("int.queues", int.queues),
+                    ("int.entries", int.entries),
+                    ("fp.queues", fp.queues),
+                    ("fp.entries", fp.entries),
+                ]
+            }
+            SchedulerConfig::MixBuff {
+                int,
+                fp,
+                chains_per_queue,
+                ..
+            } => vec![
+                ("int.queues", int.queues),
+                ("int.entries", int.entries),
+                ("fp.queues", fp.queues),
+                ("fp.entries", fp.entries),
+                ("chains_per_queue", chains_per_queue.unwrap_or(fp.entries)),
+            ],
+        };
+        match fields.iter().find(|&&(_, n)| n == 0) {
+            Some((field, _)) => Err(format!(
+                "scheme {}: {field} must be at least 1",
+                self.label()
+            )),
+            None => Ok(()),
+        }
+    }
+
     /// Builds the scheduler.
     #[must_use]
     pub fn build(&self, cfg: &ProcessorConfig) -> Box<dyn Scheduler> {

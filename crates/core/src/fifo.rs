@@ -1,61 +1,123 @@
 //! Palacharla-style FIFO issue queues (`IssueFIFO`), and the shared FIFO
 //! machinery reused by the integer side of `LatFIFO` and `MixBUFF`.
 //!
-//! Entries live in a bitset-backed [`EntryStore`] and carry their own ready
-//! bits, maintained by the per-tag consumer lists of [`WakeupMap`]: a result
-//! broadcast flips only the bits of entries actually waiting for that tag,
-//! so head-readiness at issue is a bit test instead of a scoreboard poll.
-//! The *energy* model is unchanged — heads are still charged a `regs_ready`
-//! read per operand per cycle, exactly as the physical design polls the
-//! scoreboard.
+//! The hardware has no wakeup broadcast here: every cycle each queue head
+//! reads the 1-bit/register `regs_ready` scoreboard, and a result only
+//! writes that bit. The model does exactly the same — heads poll
+//! [`IssueSink::is_ready`], so results, squashes and cancels maintain no
+//! per-entry ready state, and the energy meter charges one scoreboard read
+//! per present operand per head per cycle.
 
 use crate::energy::FifoEnergy;
 use crate::fu::FuTopology;
-use crate::soa::EntryStore;
-use crate::wakeup::WakeupMap;
 use crate::{DispatchInst, DispatchStall, IssueSink, Scheduler, Side};
 use diq_isa::{ArchReg, Cycle, InstId, OpClass, PhysReg, ProcessorConfig};
 use diq_power::{Component, EnergyMeter, TechParams};
 use std::collections::VecDeque;
 
-/// One queued instruction.
+/// One queued FIFO instruction.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct Entry {
+pub(crate) struct FifoEntry {
     pub id: InstId,
     pub op: OpClass,
     pub srcs: [Option<PhysReg>; 2],
-    pub ready: [bool; 2],
     /// Issued on a speculative operand and kept in its slot until the miss
     /// cancel returns it to waiting (load-hit speculation). A held head is
-    /// invisible to selection.
+    /// invisible to selection and polls nothing.
     pub held: bool,
 }
 
-impl Entry {
+impl FifoEntry {
     pub(crate) fn new(d: &DispatchInst) -> Self {
-        let mut ready = [true, true];
-        for (i, src) in d.srcs.iter().enumerate() {
-            if src.is_some() {
-                ready[i] = d.srcs_ready[i];
-            }
-        }
-        Entry {
+        FifoEntry {
             id: d.id,
             op: d.op,
             srcs: d.srcs,
-            ready,
             held: false,
         }
     }
+}
 
-    pub(crate) fn all_ready(&self) -> bool {
-        self.ready[0] && self.ready[1]
-    }
+/// A selection candidate: `(age, side, queue, head)`.
+pub(crate) type Candidate = (u64, Side, usize, FifoEntry);
 
-    /// Number of operand reads a head check performs (present sources).
-    pub(crate) fn nsrc(&self) -> u64 {
-        self.srcs.iter().flatten().count() as u64
+/// The unheld heads of `queues`, as `(queue, entry)`. A held head neither
+/// polls the scoreboard nor competes for selection — it already left
+/// through the issue port and is waiting for its load to be confirmed or
+/// cancelled.
+pub(crate) fn heads(
+    queues: &[VecDeque<FifoEntry>],
+) -> impl Iterator<Item = (usize, FifoEntry)> + '_ {
+    queues
+        .iter()
+        .enumerate()
+        .filter_map(|(q, fifo)| fifo.front().filter(|e| !e.held).map(|e| (q, *e)))
+}
+
+/// Miss cancel for `tag`: every entry with an operand on `tag` stops being
+/// held. Readiness is polled at the heads, so there is nothing to revert.
+pub(crate) fn cancel(queues: &mut [VecDeque<FifoEntry>], tag: PhysReg) {
+    for e in queues.iter_mut().flatten() {
+        if e.srcs.contains(&Some(tag)) {
+            e.held = false;
+        }
     }
+}
+
+/// One cycle's head check for one side: every head reads `regs_ready` for
+/// each present operand, ready or not, and the heads whose operands are all
+/// ready join `out`.
+pub(crate) fn poll_heads(
+    heads: impl Iterator<Item = (usize, FifoEntry)>,
+    side: Side,
+    em: &FifoEnergy,
+    meter: &mut EnergyMeter,
+    sink: &dyn IssueSink,
+    out: &mut Vec<Candidate>,
+) {
+    for (q, e) in heads {
+        let nsrc = e.srcs.iter().flatten().count() as u64;
+        meter.add_events(Component::RegsReady, nsrc, em.regs_ready_read);
+        if e.srcs.iter().flatten().all(|&r| sink.is_ready(r)) {
+            out.push((e.id.0, side, q, e));
+        }
+    }
+}
+
+/// Offers `candidates` to the sink oldest first. Each accepted head leaves
+/// through `take(side, queue, spec)` — `spec` when it consumed a
+/// speculative operand and must be held rather than popped — and pays the
+/// FIFO read and its result-mux event.
+pub(crate) fn issue_oldest(
+    candidates: &mut [Candidate],
+    energy: &[FifoEnergy; 2],
+    meter: &mut EnergyMeter,
+    sink: &mut dyn IssueSink,
+    mut take: impl FnMut(Side, usize, bool),
+) {
+    candidates.sort_unstable_by_key(|c| c.0);
+    for &(_, side, q, e) in candidates.iter() {
+        if sink.try_issue(e.id, e.op, Some((side, q))) {
+            take(
+                side,
+                q,
+                e.srcs.iter().flatten().any(|&r| sink.is_spec_ready(r)),
+            );
+            let em = energy[side.index()];
+            meter.add(Component::Fifo, em.fifo_read);
+            let (mux, pj) = em.mux.event(e.op);
+            meter.add(mux, pj);
+        }
+    }
+}
+
+/// `queues` empty queues with room for `capacity` entries each, built one
+/// by one: `vec![VecDeque::with_capacity(..); n]` would clone, and a clone
+/// drops the reserved capacity, so the queues would grow mid-run.
+pub(crate) fn reserved<T>(queues: usize, capacity: usize) -> Vec<VecDeque<T>> {
+    (0..queues)
+        .map(|_| VecDeque::with_capacity(capacity))
+        .collect()
 }
 
 /// An array of FIFO queues for one side of the machine, with the paper's
@@ -72,10 +134,7 @@ impl Entry {
 /// cleared on branch mispredictions.
 #[derive(Clone, Debug)]
 pub(crate) struct FifoArray {
-    side: Side,
-    store: EntryStore,
-    queues: Vec<VecDeque<u32>>,
-    waiters: WakeupMap,
+    queues: Vec<VecDeque<FifoEntry>>,
     capacity: usize,
     /// arch-reg flat index → (queue, producing instruction).
     steer: Vec<Option<(usize, InstId)>>,
@@ -83,48 +142,29 @@ pub(crate) struct FifoArray {
     tail_reg: Vec<Option<ArchReg>>,
     /// Per queue: the tail instruction.
     tail_id: Vec<Option<InstId>>,
-    /// Cancel scratch (`(slot, operand)` pairs), reused across miss
-    /// cancels so recurring misses allocate nothing steady-state.
-    cancel_scratch: Vec<(u32, usize)>,
 }
 
 impl FifoArray {
-    pub(crate) fn new(side: Side, queues: usize, capacity: usize, regs: [usize; 2]) -> Self {
+    pub(crate) fn new(queues: usize, capacity: usize) -> Self {
         assert!(queues > 0 && capacity > 0);
         FifoArray {
-            side,
-            // Each queue holds at most `capacity` entries, so the store is
-            // sized for the whole array up front.
-            store: EntryStore::new(queues * capacity),
-            queues: (0..queues)
-                .map(|_| VecDeque::with_capacity(capacity))
-                .collect(),
-            waiters: WakeupMap::new(queues * capacity, regs),
+            queues: reserved(queues, capacity),
             capacity,
             steer: vec![None; 2 * diq_isa::ARCH_REGS_PER_CLASS],
             tail_reg: vec![None; queues],
             tail_id: vec![None; queues],
-            cancel_scratch: Vec::new(),
         }
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.store.len()
+        self.queues.iter().map(VecDeque::len).sum()
     }
 
     fn place(&mut self, q: usize, d: &DispatchInst) {
         if let Some(old) = self.tail_reg[q].take() {
             self.steer[old.flat_index()] = None;
         }
-        let entry = Entry::new(d);
-        let slot = self.store.insert(&entry);
-        for (i, ready) in entry.ready.iter().enumerate() {
-            if !ready {
-                self.waiters
-                    .listen(entry.srcs[i].expect("unready operand has a tag"), slot, i);
-            }
-        }
-        self.queues[q].push_back(slot);
+        self.queues[q].push_back(FifoEntry::new(d));
         self.tail_id[q] = Some(d.id);
         if let Some(dst) = d.dst_arch {
             self.steer[dst.flat_index()] = Some((q, d.id));
@@ -176,54 +216,26 @@ impl FifoArray {
         Ok(q)
     }
 
-    /// Head candidates: `(queue, entry)` for each non-empty queue whose
-    /// head is not held after a speculative issue (a held head neither
-    /// polls the scoreboard nor competes for selection — it already left
-    /// through the issue port and is waiting for its load to be confirmed
-    /// or cancelled).
-    pub(crate) fn heads(&self) -> impl Iterator<Item = (usize, Entry)> + '_ {
-        self.queues.iter().enumerate().filter_map(|(q, fifo)| {
-            fifo.front()
-                .filter(|&&slot| !self.store.is_held(slot))
-                .map(|&slot| (q, self.store.snapshot(slot)))
-        })
+    /// Head candidates: see [`heads`].
+    pub(crate) fn heads(&self) -> impl Iterator<Item = (usize, FifoEntry)> + '_ {
+        heads(&self.queues)
     }
 
     /// Marks the head of queue `q` as held after a speculative issue: it
     /// keeps its slot (dispatch still sees a full entry) but stops being a
-    /// selection candidate until [`cancel`](Self::cancel) reverts it.
+    /// selection candidate until [`cancel`](Self::cancel) releases it.
     pub(crate) fn hold_head(&mut self, q: usize) {
-        let &slot = self.queues[q].front().expect("hold on empty FIFO");
-        self.store.set_held(slot);
+        self.queues[q].front_mut().expect("hold on empty FIFO").held = true;
     }
 
-    /// Miss cancel for `tag`: every entry whose operand `tag` looked ready
-    /// reverts to waiting and re-listens for the real broadcast; held
-    /// entries become normal queued entries again. Runs once per L1 miss.
+    /// Miss cancel for `tag`: see [`cancel`].
     pub(crate) fn cancel(&mut self, tag: PhysReg) {
-        let mut todo = std::mem::take(&mut self.cancel_scratch);
-        todo.clear();
-        let store = &self.store;
-        store.for_each_live(|slot| {
-            for (i, src) in store.srcs(slot).iter().enumerate() {
-                if *src == Some(tag) && store.is_ready(slot, i) {
-                    todo.push((slot, i));
-                }
-            }
-        });
-        for &(slot, i) in &todo {
-            self.store.clear_ready(slot, i);
-            self.store.clear_held(slot);
-            self.waiters.listen(tag, slot, i);
-        }
-        self.cancel_scratch = todo;
+        cancel(&mut self.queues, tag);
     }
 
     /// Removes the head of queue `q` after it issued.
-    pub(crate) fn pop_head(&mut self, q: usize) -> Entry {
-        let slot = self.queues[q].pop_front().expect("pop from empty FIFO");
-        let e = self.store.snapshot(slot);
-        self.store.remove(slot);
+    pub(crate) fn pop_head(&mut self, q: usize) {
+        let e = self.queues[q].pop_front().expect("pop from empty FIFO");
         if self.tail_id[q] == Some(e.id) {
             // The queue is now empty; drop its steering state.
             if let Some(r) = self.tail_reg[q].take() {
@@ -231,41 +243,28 @@ impl FifoArray {
             }
             self.tail_id[q] = None;
         }
-        e
     }
 
-    /// Delivers a produced tag to the entries waiting for it (any position
-    /// in any queue — buried entries collect their ready bits while they
-    /// wait their turn at the head).
-    pub(crate) fn wake(&mut self, tag: PhysReg) {
-        let store = &mut self.store;
-        self.waiters.wake(tag, |w| {
-            store.set_ready(w.slot, w.operand as usize);
-        });
+    /// Issues or holds the head of queue `q` (see [`issue_oldest`]).
+    pub(crate) fn take_head(&mut self, q: usize, spec: bool) {
+        if spec {
+            self.hold_head(q);
+        } else {
+            self.pop_head(q);
+        }
     }
 
     /// Wrong-path squash: entries within a FIFO are in dispatch (age) order,
     /// so the doomed entries are a suffix of each queue — pop them from the
-    /// back, deregistering their wakeup consumers. The steering table is
-    /// wiped (recovery clears Qrename, as on any mispredict) and each
-    /// queue's tail identity is re-anchored on the surviving tail.
+    /// back. The steering table is wiped (recovery clears Qrename, as on any
+    /// mispredict) and each queue's tail identity is re-anchored on the
+    /// surviving tail.
     pub(crate) fn squash(&mut self, from: InstId) {
         for q in 0..self.queues.len() {
-            while let Some(&back) = self.queues[q].back() {
-                if self.store.id(back) < from {
-                    break;
-                }
+            while self.queues[q].back().is_some_and(|e| e.id >= from) {
                 self.queues[q].pop_back();
-                let srcs = self.store.srcs(back);
-                for (i, src) in srcs.iter().enumerate() {
-                    if !self.store.is_ready(back, i) {
-                        self.waiters
-                            .unlisten(src.expect("unready operand has a tag"), back);
-                    }
-                }
-                self.store.remove(back);
             }
-            self.tail_id[q] = self.queues[q].back().map(|&s| self.store.id(s));
+            self.tail_id[q] = self.queues[q].back().map(|e| e.id);
         }
         self.clear_steering();
     }
@@ -276,10 +275,6 @@ impl FifoArray {
         self.tail_reg.iter_mut().for_each(|s| *s = None);
         // tail_id stays: it only matters together with `steer`, which is
         // now empty; it will be rebuilt by subsequent placements.
-    }
-
-    pub(crate) fn side(&self) -> Side {
-        self.side
     }
 
     #[cfg(test)]
@@ -311,7 +306,7 @@ pub struct IssueFifo {
     energy_model: [FifoEnergy; 2],
     meter: EnergyMeter,
     topology: FuTopology,
-    candidates: Vec<(u64, Side, usize, Entry)>,
+    candidates: Vec<Candidate>,
 }
 
 impl IssueFifo {
@@ -326,11 +321,10 @@ impl IssueFifo {
         cfg: &ProcessorConfig,
     ) -> Self {
         let tech = TechParams::um100();
-        let regs = [cfg.phys_int_regs, cfg.phys_fp_regs];
         IssueFifo {
             name,
-            int: FifoArray::new(Side::Int, int.0, int.1, regs),
-            fp: FifoArray::new(Side::Fp, fp.0, fp.1, regs),
+            int: FifoArray::new(int.0, int.1),
+            fp: FifoArray::new(fp.0, fp.1),
             energy_model: [
                 FifoEnergy::new(int.1, int.0, cfg.phys_int_regs, &topology, &tech),
                 FifoEnergy::new(fp.1, fp.0, cfg.phys_fp_regs, &topology, &tech),
@@ -373,41 +367,33 @@ impl Scheduler for IssueFifo {
         // arbitrate width and functional units.
         let mut candidates = std::mem::take(&mut self.candidates);
         candidates.clear();
-        for array in [&self.int, &self.fp] {
-            let em = self.energy_model[array.side().index()];
-            for (q, e) in array.heads() {
-                // Heads read the scoreboard every cycle, ready or not.
-                self.meter
-                    .add_events(Component::RegsReady, e.nsrc(), em.regs_ready_read);
-                if e.all_ready() {
-                    candidates.push((e.id.0, array.side(), q, e));
-                }
-            }
+        for (side, array) in [(Side::Int, &self.int), (Side::Fp, &self.fp)] {
+            let em = &self.energy_model[side.index()];
+            poll_heads(
+                array.heads(),
+                side,
+                em,
+                &mut self.meter,
+                sink,
+                &mut candidates,
+            );
         }
-        candidates.sort_unstable_by_key(|c| c.0);
-        for &(_, side, q, e) in &candidates {
-            if sink.try_issue(e.id, e.op, Some((side, q))) {
-                let em = self.energy_model[side.index()];
-                // A speculative issue keeps the entry in place (held) for
-                // the possible replay; both passes pay the FIFO read.
-                if e.srcs.iter().flatten().any(|&r| sink.is_spec_ready(r)) {
-                    self.array(side).hold_head(q);
-                } else {
-                    self.array(side).pop_head(q);
-                }
-                self.meter.add(Component::Fifo, em.fifo_read);
-                let (mux, pj) = em.mux.event(e.op);
-                self.meter.add(mux, pj);
-            }
-        }
+        issue_oldest(
+            &mut candidates,
+            &self.energy_model,
+            &mut self.meter,
+            sink,
+            |side, q, spec| match side {
+                Side::Int => self.int.take_head(q, spec),
+                Side::Fp => self.fp.take_head(q, spec),
+            },
+        );
         self.candidates = candidates;
     }
 
     fn on_result(&mut self, dst: PhysReg, _now: Cycle) {
         let em = self.energy_model[dst.class().index()];
         self.meter.add(Component::RegsReady, em.regs_ready_write);
-        self.int.wake(dst);
-        self.fp.wake(dst);
     }
 
     fn on_mispredict(&mut self) {
@@ -444,7 +430,11 @@ mod tests {
     use crate::test_util::{di, BoundedSink};
 
     fn arr() -> FifoArray {
-        FifoArray::new(Side::Int, 4, 2, [512, 512])
+        FifoArray::new(4, 2)
+    }
+
+    fn int(r: u16) -> PhysReg {
+        PhysReg::new(diq_isa::RegClass::Int, r)
     }
 
     #[test]
@@ -557,27 +547,10 @@ mod tests {
     }
 
     #[test]
-    fn wake_reaches_buried_entries() {
-        let mut a = arr();
-        // Producer then dependent in one queue: the dependent (waiting on
-        // p3) sits *behind* the head, and its ready bit must still flip.
-        a.try_dispatch(&di(1, OpClass::IntAlu, Some(3), [None, None]))
-            .unwrap();
-        let q = a
-            .try_dispatch(&di(2, OpClass::IntAlu, Some(4), [Some(3), None]))
-            .unwrap();
-        a.wake(PhysReg::new(diq_isa::RegClass::Int, 3));
-        a.pop_head(q);
-        let (_, head) = a.heads().next().unwrap();
-        assert_eq!(head.id, InstId(2));
-        assert!(head.all_ready(), "buried entry collected its wakeup");
-    }
-
-    #[test]
     fn held_head_blocks_its_queue_until_cancel_then_reissues() {
         let cfg = ProcessorConfig::hpca2004();
         let mut s = crate::SchedulerConfig::issue_fifo(4, 4, 4, 4).build(&cfg);
-        let tag = PhysReg::new(diq_isa::RegClass::Int, 10);
+        let tag = int(10);
         // A consumer of the speculating load, and its own dependent queued
         // behind it (same chain — steered to the same FIFO).
         let mut head = di(1, OpClass::IntAlu, Some(3), [Some(10), None]);
@@ -585,9 +558,13 @@ mod tests {
         s.try_dispatch(&head, 0).unwrap();
         s.try_dispatch(&di(2, OpClass::IntAlu, Some(4), [Some(3), None]), 0)
             .unwrap();
+        // Before the load's tag is broadcast, the head waits.
+        let mut sink = BoundedSink::waiting_on(&[tag, int(3)]);
+        s.issue_cycle(0, &mut sink);
+        assert!(sink.issued.is_empty(), "head polls an unready operand");
         // Speculative wakeup → the head issues and is held in place.
         s.on_result(tag, 1);
-        let mut sink = BoundedSink::all_ready();
+        let mut sink = BoundedSink::waiting_on(&[int(3)]);
         sink.spec = vec![tag];
         s.issue_cycle(1, &mut sink);
         assert_eq!(sink.issued, vec![InstId(1)]);
@@ -596,14 +573,14 @@ mod tests {
         let mut sink = BoundedSink::all_ready();
         s.issue_cycle(2, &mut sink);
         assert!(sink.issued.is_empty(), "held head is invisible");
-        // Cancel, then the true fill: the head re-wakes and issues for
-        // real, unblocking its dependent.
+        // Cancel, then the true fill: the head issues for real, unblocking
+        // its dependent.
         s.cancel(tag);
         s.on_result(tag, 3);
-        let mut sink = BoundedSink::all_ready();
+        let mut sink = BoundedSink::waiting_on(&[int(3)]);
         s.issue_cycle(3, &mut sink);
         assert_eq!(sink.issued, vec![InstId(1)]);
-        s.on_result(PhysReg::new(diq_isa::RegClass::Int, 3), 4);
+        s.on_result(int(3), 4);
         let mut sink = BoundedSink::all_ready();
         s.issue_cycle(4, &mut sink);
         assert_eq!(sink.issued, vec![InstId(2)]);
@@ -614,14 +591,14 @@ mod tests {
     fn scheduler_issues_only_ready_heads_in_age_order() {
         let cfg = ProcessorConfig::hpca2004();
         let mut s = crate::SchedulerConfig::issue_fifo(4, 4, 4, 4).build(&cfg);
-        // Two independent chains, both waiting; make only the second's head
-        // ready by broadcasting its operand's tag.
+        // Two independent chains, both waiting; only the second's operand
+        // has been produced.
         s.try_dispatch(&di(1, OpClass::IntAlu, Some(3), [Some(10), None]), 0)
             .unwrap();
         s.try_dispatch(&di(2, OpClass::IntAlu, Some(4), [Some(11), None]), 0)
             .unwrap();
-        s.on_result(PhysReg::new(diq_isa::RegClass::Int, 11), 0);
-        let mut sink = BoundedSink::all_ready();
+        s.on_result(int(11), 0);
+        let mut sink = BoundedSink::waiting_on(&[int(10)]);
         s.issue_cycle(0, &mut sink);
         assert_eq!(sink.issued, vec![InstId(2)]);
         assert_eq!(s.occupancy().0, 1);

@@ -5,16 +5,12 @@
 //! (Section 3.1): among the non-full queues whose tail is expected to issue
 //! at least one cycle before this instruction, pick the one whose tail
 //! issues latest; otherwise an empty queue; otherwise stall. Issue still
-//! takes each queue's head, checking the ready-bit scoreboard — modelled
-//! event-driven: entries carry ready bits flipped by per-tag wakeup, while
-//! the energy model still charges the per-cycle scoreboard polls.
+//! takes each queue's head, which polls the ready-bit scoreboard.
 
 use crate::energy::FifoEnergy;
 use crate::estimate::IssueTimeEstimator;
-use crate::fifo::{Entry, FifoArray};
+use crate::fifo::{self, poll_heads, Candidate, FifoArray, FifoEntry};
 use crate::fu::FuTopology;
-use crate::soa::EntryStore;
-use crate::wakeup::WakeupMap;
 use crate::{DispatchInst, DispatchStall, IssueSink, Scheduler, Side};
 use diq_isa::{Cycle, InstId, PhysReg, ProcessorConfig};
 use diq_power::{Component, EnergyMeter, TechParams};
@@ -23,42 +19,29 @@ use std::collections::VecDeque;
 /// FP FIFOs placed by estimated issue time.
 #[derive(Clone, Debug)]
 struct LatQueues {
-    store: EntryStore,
-    queues: Vec<VecDeque<u32>>,
+    queues: Vec<VecDeque<FifoEntry>>,
     /// Each entry's issue estimate, parallel to `queues` — placement only
     /// needs the tails', but a wrong-path squash must re-anchor `tail_est`
     /// on whatever entry survives as the new tail.
     ests: Vec<VecDeque<Cycle>>,
-    waiters: WakeupMap,
     capacity: usize,
     /// Estimated issue cycle of each queue's tail (`None` when empty).
     tail_est: Vec<Option<Cycle>>,
-    /// Cancel scratch, reused so recurring misses allocate nothing.
-    cancel_scratch: Vec<(u32, usize)>,
 }
 
 impl LatQueues {
-    fn new(queues: usize, capacity: usize, regs: [usize; 2]) -> Self {
+    fn new(queues: usize, capacity: usize) -> Self {
         assert!(queues > 0 && capacity > 0);
         LatQueues {
-            store: EntryStore::new(queues * capacity),
-            // Built per-queue (not `vec![..; queues]`) so the cloned
-            // VecDeques keep their reserved capacity.
-            queues: (0..queues)
-                .map(|_| VecDeque::with_capacity(capacity))
-                .collect(),
-            ests: (0..queues)
-                .map(|_| VecDeque::with_capacity(capacity))
-                .collect(),
-            waiters: WakeupMap::new(queues * capacity, regs),
+            queues: fifo::reserved(queues, capacity),
+            ests: fifo::reserved(queues, capacity),
             capacity,
             tail_est: vec![None; queues],
-            cancel_scratch: Vec::new(),
         }
     }
 
     fn len(&self) -> usize {
-        self.store.len()
+        self.queues.iter().map(VecDeque::len).sum()
     }
 
     fn try_dispatch(&mut self, d: &DispatchInst, est: Cycle) -> Result<usize, DispatchStall> {
@@ -74,95 +57,43 @@ impl LatQueues {
             .map(|(i, _)| i)
             .or_else(|| self.queues.iter().position(VecDeque::is_empty));
         let q = q.ok_or(DispatchStall::NoEmptyQueue)?;
-        let entry = Entry::new(d);
-        let slot = self.store.insert(&entry);
-        for (i, ready) in entry.ready.iter().enumerate() {
-            if !ready {
-                self.waiters
-                    .listen(entry.srcs[i].expect("unready operand has a tag"), slot, i);
-            }
-        }
-        self.queues[q].push_back(slot);
+        self.queues[q].push_back(FifoEntry::new(d));
         self.ests[q].push_back(est);
         self.tail_est[q] = Some(est);
         Ok(q)
     }
 
-    fn pop_head(&mut self, q: usize) -> Entry {
-        let slot = self.queues[q].pop_front().expect("pop from empty queue");
+    fn pop_head(&mut self, q: usize) {
+        self.queues[q].pop_front().expect("pop from empty queue");
         self.ests[q].pop_front();
-        let e = self.store.snapshot(slot);
-        self.store.remove(slot);
         if self.queues[q].is_empty() {
             self.tail_est[q] = None;
         }
-        e
+    }
+
+    /// Issues or holds the head of queue `q` (the hold protocol of
+    /// [`FifoArray::hold_head`]).
+    fn take_head(&mut self, q: usize, spec: bool) {
+        if spec {
+            self.queues[q]
+                .front_mut()
+                .expect("hold on empty queue")
+                .held = true;
+        } else {
+            self.pop_head(q);
+        }
     }
 
     /// Wrong-path squash: drop the doomed suffix of each queue and restore
     /// `tail_est` from the surviving tail's recorded estimate.
     fn squash(&mut self, from: InstId) {
         for q in 0..self.queues.len() {
-            while let Some(&back) = self.queues[q].back() {
-                if self.store.id(back) < from {
-                    break;
-                }
+            while self.queues[q].back().is_some_and(|e| e.id >= from) {
                 self.queues[q].pop_back();
                 self.ests[q].pop_back();
-                let srcs = self.store.srcs(back);
-                for (i, src) in srcs.iter().enumerate() {
-                    if !self.store.is_ready(back, i) {
-                        self.waiters
-                            .unlisten(src.expect("unready operand has a tag"), back);
-                    }
-                }
-                self.store.remove(back);
             }
             self.tail_est[q] = self.ests[q].back().copied();
         }
-    }
-
-    fn heads(&self) -> impl Iterator<Item = (usize, Entry)> + '_ {
-        self.queues.iter().enumerate().filter_map(|(q, fifo)| {
-            fifo.front()
-                .filter(|&&slot| !self.store.is_held(slot))
-                .map(|&slot| (q, self.store.snapshot(slot)))
-        })
-    }
-
-    /// Marks the head of queue `q` as held after a speculative issue (see
-    /// [`FifoArray::hold_head`](crate::fifo) for the protocol).
-    fn hold_head(&mut self, q: usize) {
-        let &slot = self.queues[q].front().expect("hold on empty queue");
-        self.store.set_held(slot);
-    }
-
-    /// Miss cancel for `tag`: revert speculative readiness, re-listen, and
-    /// return held entries to normal queued state.
-    fn cancel(&mut self, tag: PhysReg) {
-        let mut todo = std::mem::take(&mut self.cancel_scratch);
-        todo.clear();
-        let store = &self.store;
-        store.for_each_live(|slot| {
-            for (i, src) in store.srcs(slot).iter().enumerate() {
-                if *src == Some(tag) && store.is_ready(slot, i) {
-                    todo.push((slot, i));
-                }
-            }
-        });
-        for &(slot, i) in &todo {
-            self.store.clear_ready(slot, i);
-            self.store.clear_held(slot);
-            self.waiters.listen(tag, slot, i);
-        }
-        self.cancel_scratch = todo;
-    }
-
-    fn wake(&mut self, tag: PhysReg) {
-        let store = &mut self.store;
-        self.waiters.wake(tag, |w| {
-            store.set_ready(w.slot, w.operand as usize);
-        });
     }
 }
 
@@ -186,7 +117,7 @@ pub struct LatFifo {
     energy_model: [FifoEnergy; 2],
     meter: EnergyMeter,
     topology: FuTopology,
-    candidates: Vec<(u64, Side, usize, Entry)>,
+    candidates: Vec<Candidate>,
 }
 
 impl LatFifo {
@@ -201,11 +132,10 @@ impl LatFifo {
         cfg: &ProcessorConfig,
     ) -> Self {
         let tech = TechParams::um100();
-        let regs = [cfg.phys_int_regs, cfg.phys_fp_regs];
         LatFifo {
             name,
-            int: FifoArray::new(Side::Int, int.0, int.1, regs),
-            fp: LatQueues::new(fp.0, fp.1, regs),
+            int: FifoArray::new(int.0, int.1),
+            fp: LatQueues::new(fp.0, fp.1),
             estimator: IssueTimeEstimator::new(cfg.lat, cfg.mem.dl1.latency),
             energy_model: [
                 FifoEnergy::new(int.1, int.0, cfg.phys_int_regs, &topology, &tech),
@@ -255,54 +185,39 @@ impl Scheduler for LatFifo {
     fn issue_cycle(&mut self, _now: Cycle, sink: &mut dyn IssueSink) {
         let mut candidates = std::mem::take(&mut self.candidates);
         candidates.clear();
-        {
-            let em = self.energy_model[Side::Int.index()];
-            for (q, e) in self.int.heads() {
-                self.meter
-                    .add_events(Component::RegsReady, e.nsrc(), em.regs_ready_read);
-                if e.all_ready() {
-                    candidates.push((e.id.0, Side::Int, q, e));
-                }
-            }
-        }
-        {
-            let em = self.energy_model[Side::Fp.index()];
-            for (q, e) in self.fp.heads() {
-                self.meter
-                    .add_events(Component::RegsReady, e.nsrc(), em.regs_ready_read);
-                if e.all_ready() {
-                    candidates.push((e.id.0, Side::Fp, q, e));
-                }
-            }
-        }
-        candidates.sort_unstable_by_key(|c| c.0);
-        for &(_, side, q, e) in &candidates {
-            if sink.try_issue(e.id, e.op, Some((side, q))) {
-                let spec = e.srcs.iter().flatten().any(|&r| sink.is_spec_ready(r));
-                match (side, spec) {
-                    (Side::Int, false) => {
-                        self.int.pop_head(q);
-                    }
-                    (Side::Int, true) => self.int.hold_head(q),
-                    (Side::Fp, false) => {
-                        self.fp.pop_head(q);
-                    }
-                    (Side::Fp, true) => self.fp.hold_head(q),
-                }
-                let em = self.energy_model[side.index()];
-                self.meter.add(Component::Fifo, em.fifo_read);
-                let (mux, pj) = em.mux.event(e.op);
-                self.meter.add(mux, pj);
-            }
-        }
+        let [em_int, em_fp] = &self.energy_model;
+        poll_heads(
+            self.int.heads(),
+            Side::Int,
+            em_int,
+            &mut self.meter,
+            sink,
+            &mut candidates,
+        );
+        poll_heads(
+            fifo::heads(&self.fp.queues),
+            Side::Fp,
+            em_fp,
+            &mut self.meter,
+            sink,
+            &mut candidates,
+        );
+        fifo::issue_oldest(
+            &mut candidates,
+            &self.energy_model,
+            &mut self.meter,
+            sink,
+            |side, q, spec| match side {
+                Side::Int => self.int.take_head(q, spec),
+                Side::Fp => self.fp.take_head(q, spec),
+            },
+        );
         self.candidates = candidates;
     }
 
     fn on_result(&mut self, dst: PhysReg, _now: Cycle) {
         let em = self.energy_model[dst.class().index()];
         self.meter.add(Component::RegsReady, em.regs_ready_write);
-        self.int.wake(dst);
-        self.fp.wake(dst);
     }
 
     fn on_mispredict(&mut self) {
@@ -321,7 +236,7 @@ impl Scheduler for LatFifo {
 
     fn cancel(&mut self, tag: PhysReg) {
         self.int.cancel(tag);
-        self.fp.cancel(tag);
+        fifo::cancel(&mut self.fp.queues, tag);
         // The estimator likewise keeps its hit-assuming estimate — it is
         // exactly the predictor whose misprediction the replay pays for.
     }
@@ -358,7 +273,7 @@ mod tests {
     use diq_isa::OpClass;
 
     fn queues() -> LatQueues {
-        LatQueues::new(2, 4, [512, 512])
+        LatQueues::new(2, 4)
     }
 
     fn entry(id: u64) -> DispatchInst {
@@ -381,7 +296,7 @@ mod tests {
 
     #[test]
     fn prefers_latest_eligible_tail() {
-        let mut q = LatQueues::new(3, 4, [512, 512]);
+        let mut q = LatQueues::new(3, 4);
         // Queue 0's tail estimated at 3, queue 1's at 7 (placed via the
         // est-ordering: 3 first, then 7 goes behind it — so seed queue 1
         // directly with a fresh dispatch at est 7 after filling queue 0 to
@@ -396,7 +311,7 @@ mod tests {
 
     #[test]
     fn stalls_when_nothing_eligible_and_no_empty() {
-        let mut q = LatQueues::new(1, 1, [512, 512]);
+        let mut q = LatQueues::new(1, 1);
         q.try_dispatch(&entry(1), 5).unwrap();
         let err = q.try_dispatch(&entry(2), 6).unwrap_err();
         assert_eq!(err, DispatchStall::NoEmptyQueue);
@@ -408,18 +323,6 @@ mod tests {
         q.try_dispatch(&entry(1), 5).unwrap();
         q.pop_head(0);
         assert_eq!(q.tail_est[0], None);
-    }
-
-    #[test]
-    fn wake_flips_fp_ready_bits() {
-        let mut q = queues();
-        q.try_dispatch(&fp_di(1, OpClass::FpAdd, Some(5), [Some(4), None]), 3)
-            .unwrap();
-        let (_, head) = q.heads().next().unwrap();
-        assert!(!head.all_ready());
-        q.wake(PhysReg::new(diq_isa::RegClass::Fp, 4));
-        let (_, head) = q.heads().next().unwrap();
-        assert!(head.all_ready());
     }
 
     #[test]

@@ -8,9 +8,15 @@
 //! |--------|------------|--------|--------------------|-----------|
 //! | [`CamIssueQueue`] | `IQ_64_64` / unbounded baseline | CAM broadcast (unready operands only, banked) | any free entry | N oldest ready |
 //! | [`AdaptiveCamIssueQueue`] | `IQ_64_64_adapt` (adaptive geometry) | CAM broadcast, banks power-gated at runtime | any free entry within powered capacity | N oldest ready |
-//! | [`IssueFifo`] | `IssueFIFO` / `IF_distr` | none (ready-bit check at heads) | Palacharla dependence heuristics | FIFO heads, oldest first |
-//! | [`LatFifo`] | `LatFIFO` | none | estimated issue time (§3.1 recurrence) | FIFO heads |
-//! | [`MixBuff`] | `MixBUFF` / `MB_distr` | none | dependence chains in RAM buffers | 1/queue/cycle by 2-bit latency code ∥ age |
+//! | [`IssueFifo`] | `IssueFIFO` / `IF_distr` | none (heads poll the `regs_ready` scoreboard) | Palacharla dependence heuristics | FIFO heads, oldest first |
+//! | [`LatFifo`] | `LatFIFO` | none (heads poll the scoreboard) | estimated issue time (§3.1 recurrence) | FIFO heads |
+//! | [`MixBuff`] | `MixBUFF` / `MB_distr` | none (one scoreboard check per queue) | dependence chains in RAM buffers | 1/queue/cycle by 2-bit latency code ∥ age |
+//!
+//! The simulation follows the hardware where that is cheapest: the CAM
+//! schemes and MixBUFF's FP buffers track readiness with per-tag event
+//! lists (each with a frozen scan twin in [`mod@reference`]), while every FIFO
+//! — IssueFIFO, LatFIFO and MixBUFF's integer side — polls its heads
+//! through [`IssueSink::is_ready`] and has a single model.
 //!
 //! All schemes plug into the same pipeline through [`Scheduler`]; the
 //! pipeline provides readiness and functional-unit arbitration through

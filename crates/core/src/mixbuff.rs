@@ -18,18 +18,20 @@
 //!   minimum of (2-bit code ∥ age) — and checks its operands in the
 //!   1-bit/register scoreboard; no CAM wakeup exists anywhere.
 //!
-//! The simulation of that selection is event-driven: entries are grouped
+//! The simulation of the FP selection is event-driven: entries are grouped
 //! per chain in age order, so a queue's selection scans its *chains* (the
 //! hardware's latency table) instead of every buffered entry — within a
 //! chain all entries share a code, so the chain's oldest member is the only
-//! possible winner. Readiness is tracked by per-tag consumer lists; energy
-//! is still charged per the physical per-cycle structure accesses.
+//! possible winner. FP readiness is tracked by per-tag consumer lists,
+//! while the integer FIFO heads poll the scoreboard as in `IssueFIFO`;
+//! energy is charged per the physical per-cycle structure accesses either
+//! way.
 
 use crate::energy::{FifoEnergy, MixEnergy};
-use crate::fifo::{Entry, FifoArray};
+use crate::fifo::{self, poll_heads, Candidate, FifoArray};
 use crate::fu::FuTopology;
 use crate::select::{selection_key, LatencyCode};
-use crate::soa::EntryStore;
+use crate::soa::{Entry, EntryStore};
 use crate::wakeup::WakeupMap;
 use crate::{DispatchInst, DispatchStall, IssueSink, Scheduler, Side};
 use diq_isa::{Cycle, InstId, LatencyConfig, OpClass, PhysReg, ProcessorConfig};
@@ -317,7 +319,7 @@ pub struct MixBuff {
     mix_energy: MixEnergy,
     meter: EnergyMeter,
     topology: FuTopology,
-    candidates: Vec<(u64, usize, Entry)>,
+    candidates: Vec<Candidate>,
     winners: Vec<(u64, usize, usize, Entry)>,
 }
 
@@ -338,7 +340,7 @@ impl MixBuff {
         let regs = [cfg.phys_int_regs, cfg.phys_fp_regs];
         MixBuff {
             name,
-            int: FifoArray::new(Side::Int, int.0, int.1, regs),
+            int: FifoArray::new(int.0, int.1),
             fp: MixQueues::new(fp.0, fp.1, chains_per_queue, fresh_first, regs),
             lat: cfg.lat,
             dl1_hit: cfg.mem.dl1.latency,
@@ -394,30 +396,22 @@ impl Scheduler for MixBuff {
         // Integer side: FIFO heads, as IssueFIFO.
         let mut candidates = std::mem::take(&mut self.candidates);
         candidates.clear();
-        {
-            let em = self.energy_model[Side::Int.index()];
-            for (q, e) in self.int.heads() {
-                self.meter
-                    .add_events(Component::RegsReady, e.nsrc(), em.regs_ready_read);
-                if e.all_ready() {
-                    candidates.push((e.id.0, q, e));
-                }
-            }
-        }
-        candidates.sort_unstable_by_key(|c| c.0);
-        for &(_, q, e) in &candidates {
-            if sink.try_issue(e.id, e.op, Some((Side::Int, q))) {
-                if e.srcs.iter().flatten().any(|&r| sink.is_spec_ready(r)) {
-                    self.int.hold_head(q);
-                } else {
-                    self.int.pop_head(q);
-                }
-                let em = self.energy_model[Side::Int.index()];
-                self.meter.add(Component::Fifo, em.fifo_read);
-                let (mux, pj) = em.mux.event(e.op);
-                self.meter.add(mux, pj);
-            }
-        }
+        let em_int = &self.energy_model[Side::Int.index()];
+        poll_heads(
+            self.int.heads(),
+            Side::Int,
+            em_int,
+            &mut self.meter,
+            sink,
+            &mut candidates,
+        );
+        fifo::issue_oldest(
+            &mut candidates,
+            &self.energy_model,
+            &mut self.meter,
+            sink,
+            |_, q, spec| self.int.take_head(q, spec),
+        );
         self.candidates = candidates;
 
         // FP side: one selection per queue per cycle.
@@ -472,7 +466,6 @@ impl Scheduler for MixBuff {
     fn on_result(&mut self, dst: PhysReg, _now: Cycle) {
         let em = self.energy_model[dst.class().index()];
         self.meter.add(Component::RegsReady, em.regs_ready_write);
-        self.int.wake(dst);
         self.fp.wake(dst);
     }
 

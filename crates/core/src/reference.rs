@@ -1,14 +1,21 @@
 //! Frozen scan-based reference schedulers.
 //!
-//! These are the pre-event-driven implementations of the four schemes,
-//! kept verbatim: every cycle they re-scan full entry vectors (readiness
-//! polls through [`IssueSink::is_ready`], CAM wakeup walks every entry).
-//! They exist for one purpose — proving the event-driven fast path in
-//! `cam`/`fifo`/`latfifo`/`mixbuff` is *observationally identical*: the
-//! golden test and the wakeup property test run the same trace through a
-//! scan scheduler and an event scheduler and assert the resulting
-//! `SimStats` (IPC, cycles, energy meters, occupancy histograms) are
-//! bit-for-bit equal.
+//! These are the pre-event-driven implementations of the schemes that
+//! still simulate wakeup event-driven, kept verbatim: every cycle they
+//! re-scan full entry vectors (readiness polls through
+//! [`IssueSink::is_ready`], CAM wakeup walks every entry). They exist for
+//! one purpose — proving the event-driven fast path in
+//! `cam`/`adaptive`/`mixbuff` is *observationally identical*: the golden
+//! test and the wakeup property test run the same trace through a scan
+//! scheduler and an event scheduler and assert the resulting `SimStats`
+//! (IPC, cycles, energy meters, occupancy histograms) are bit-for-bit
+//! equal.
+//!
+//! IssueFIFO and LatFIFO have no twin here: their one model in
+//! `fifo`/`latfifo` already polls the heads through the scoreboard, so
+//! [`build_scan`] returns the same scheduler as [`SchedulerConfig::build`].
+//! MixBUFF's twin scans only its FP chain buffers; its integer side is the
+//! shared head-polling `FifoArray`.
 //!
 //! Do not "improve" this module; its value is that it does not change.
 //! (Two sanctioned extensions: when the `Scheduler` trait grew a
@@ -24,19 +31,19 @@
 
 use crate::adaptive::{AdaptiveConfig, BankController};
 use crate::energy::{CamEnergy, FifoEnergy, MixEnergy};
-use crate::estimate::IssueTimeEstimator;
+use crate::fifo::{issue_oldest, poll_heads, FifoArray};
 use crate::fu::FuTopology;
 use crate::select::{selection_key, LatencyCode};
 use crate::{DispatchInst, DispatchStall, IssueSink, Scheduler, SchedulerConfig, Side};
-use diq_isa::{ArchReg, Cycle, InstId, LatencyConfig, OpClass, PhysReg, ProcessorConfig, RegClass};
+use diq_isa::{Cycle, InstId, LatencyConfig, OpClass, PhysReg, ProcessorConfig, RegClass};
 use diq_power::{Component, EnergyMeter, TechParams};
-use std::collections::VecDeque;
 
 /// Builds the frozen scan-based implementation of `config` — the same
 /// scheme the config's [`build`](SchedulerConfig::build) constructs, minus
-/// the event-driven wakeup fast path. The returned scheduler produces
-/// bit-identical `SimStats` to the fast one; it is just asymptotically
-/// slower per simulated cycle.
+/// the event-driven wakeup fast path (for IssueFIFO and LatFIFO, which
+/// have none, the `build` scheduler itself). The returned scheduler
+/// produces bit-identical `SimStats` to the fast one; it is just
+/// asymptotically slower per simulated cycle.
 #[must_use]
 pub fn build_scan(config: &SchedulerConfig, cfg: &ProcessorConfig) -> Box<dyn Scheduler> {
     let name = config.label();
@@ -66,20 +73,9 @@ pub fn build_scan(config: &SchedulerConfig, cfg: &ProcessorConfig) -> Box<dyn Sc
             *adaptive,
             topology,
         )),
-        SchedulerConfig::IssueFifo { int, fp, .. } => Box::new(ScanIssueFifo::new(
-            name,
-            (int.queues, int.entries),
-            (fp.queues, fp.entries),
-            topology,
-            cfg,
-        )),
-        SchedulerConfig::LatFifo { int, fp, .. } => Box::new(ScanLatFifo::new(
-            name,
-            (int.queues, int.entries),
-            (fp.queues, fp.entries),
-            topology,
-            cfg,
-        )),
+        // The FIFO schemes poll their heads and have no event path: the
+        // production model is the scan model.
+        SchedulerConfig::IssueFifo { .. } | SchedulerConfig::LatFifo { .. } => config.build(cfg),
         SchedulerConfig::MixBuff {
             int,
             fp,
@@ -557,512 +553,6 @@ impl Scheduler for ScanAdaptiveCam {
     }
 }
 
-// ---- shared FIFO machinery -------------------------------------------
-
-#[derive(Clone, Copy, Debug)]
-struct Entry {
-    id: InstId,
-    op: OpClass,
-    srcs: [Option<PhysReg>; 2],
-    /// Issued on a speculative operand; waiting for the miss cancel. A
-    /// held head is invisible to selection (and polls nothing).
-    held: bool,
-}
-
-#[derive(Clone, Debug)]
-struct FifoArray {
-    queues: Vec<VecDeque<Entry>>,
-    capacity: usize,
-    steer: Vec<Option<(usize, InstId)>>,
-    tail_reg: Vec<Option<ArchReg>>,
-    tail_id: Vec<Option<InstId>>,
-}
-
-impl FifoArray {
-    fn new(queues: usize, capacity: usize) -> Self {
-        assert!(queues > 0 && capacity > 0);
-        FifoArray {
-            queues: vec![VecDeque::with_capacity(capacity); queues],
-            capacity,
-            steer: vec![None; 2 * diq_isa::ARCH_REGS_PER_CLASS],
-            tail_reg: vec![None; queues],
-            tail_id: vec![None; queues],
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.queues.iter().map(VecDeque::len).sum()
-    }
-
-    fn place(&mut self, q: usize, d: &DispatchInst) {
-        if let Some(old) = self.tail_reg[q].take() {
-            self.steer[old.flat_index()] = None;
-        }
-        self.queues[q].push_back(Entry {
-            id: d.id,
-            op: d.op,
-            srcs: d.srcs,
-            held: false,
-        });
-        self.tail_id[q] = Some(d.id);
-        if let Some(dst) = d.dst_arch {
-            self.steer[dst.flat_index()] = Some((q, d.id));
-            self.tail_reg[q] = Some(dst);
-        } else {
-            self.tail_reg[q] = None;
-        }
-    }
-
-    fn steer_queue(&self, d: &DispatchInst) -> Result<usize, DispatchStall> {
-        let n_srcs = d.src_arch.iter().flatten().count();
-        if let Some(r) = d.src_arch[0] {
-            if let Some((q, pid)) = self.steer[r.flat_index()] {
-                if self.tail_id[q] == Some(pid) {
-                    if self.queues[q].len() < self.capacity {
-                        return Ok(q);
-                    }
-                    if n_srcs == 1 {
-                        return Err(DispatchStall::QueueFull);
-                    }
-                }
-            }
-        }
-        if let Some(r) = d.src_arch[1] {
-            if let Some((q, pid)) = self.steer[r.flat_index()] {
-                if self.tail_id[q] == Some(pid) {
-                    if self.queues[q].len() < self.capacity {
-                        return Ok(q);
-                    }
-                    return Err(DispatchStall::QueueFull);
-                }
-            }
-        }
-        self.queues
-            .iter()
-            .position(VecDeque::is_empty)
-            .ok_or(DispatchStall::NoEmptyQueue)
-    }
-
-    fn try_dispatch(&mut self, d: &DispatchInst) -> Result<usize, DispatchStall> {
-        let q = self.steer_queue(d)?;
-        self.place(q, d);
-        Ok(q)
-    }
-
-    fn heads(&self) -> impl Iterator<Item = (usize, Entry)> + '_ {
-        self.queues
-            .iter()
-            .enumerate()
-            .filter_map(|(q, fifo)| fifo.front().filter(|e| !e.held).map(|e| (q, *e)))
-    }
-
-    fn pop_head(&mut self, q: usize) -> Entry {
-        let e = self.queues[q].pop_front().expect("pop from empty FIFO");
-        if self.tail_id[q] == Some(e.id) {
-            if let Some(r) = self.tail_reg[q].take() {
-                self.steer[r.flat_index()] = None;
-            }
-            self.tail_id[q] = None;
-        }
-        e
-    }
-
-    fn hold_head(&mut self, q: usize) {
-        self.queues[q].front_mut().expect("hold on empty FIFO").held = true;
-    }
-
-    /// Load-hit-speculation cancel, scan-shaped: un-hold every entry with
-    /// an operand on `tag` (readiness is polled through the sink, so there
-    /// are no bits to revert here).
-    fn cancel(&mut self, tag: PhysReg) {
-        for fifo in &mut self.queues {
-            for e in fifo.iter_mut() {
-                if e.srcs.contains(&Some(tag)) {
-                    e.held = false;
-                }
-            }
-        }
-    }
-
-    fn clear_steering(&mut self) {
-        self.steer.iter_mut().for_each(|s| *s = None);
-        self.tail_reg.iter_mut().for_each(|s| *s = None);
-    }
-
-    /// Wrong-path squash: drop the doomed suffix of each (age-ordered)
-    /// queue, re-anchor the tail identity, wipe the steering table.
-    fn squash(&mut self, from: InstId) {
-        for q in 0..self.queues.len() {
-            while self.queues[q].back().is_some_and(|e| e.id >= from) {
-                self.queues[q].pop_back();
-            }
-            self.tail_id[q] = self.queues[q].back().map(|e| e.id);
-        }
-        self.clear_steering();
-    }
-}
-
-// ---- IssueFIFO --------------------------------------------------------
-
-struct ScanIssueFifo {
-    name: String,
-    int: FifoArray,
-    fp: FifoArray,
-    energy_model: [FifoEnergy; 2],
-    meter: EnergyMeter,
-    topology: FuTopology,
-}
-
-impl ScanIssueFifo {
-    fn new(
-        name: String,
-        int: (usize, usize),
-        fp: (usize, usize),
-        topology: FuTopology,
-        cfg: &ProcessorConfig,
-    ) -> Self {
-        let tech = TechParams::um100();
-        ScanIssueFifo {
-            name,
-            int: FifoArray::new(int.0, int.1),
-            fp: FifoArray::new(fp.0, fp.1),
-            energy_model: [
-                FifoEnergy::new(int.1, int.0, cfg.phys_int_regs, &topology, &tech),
-                FifoEnergy::new(fp.1, fp.0, cfg.phys_fp_regs, &topology, &tech),
-            ],
-            meter: EnergyMeter::new(),
-            topology,
-        }
-    }
-
-    fn array(&mut self, side: Side) -> &mut FifoArray {
-        match side {
-            Side::Int => &mut self.int,
-            Side::Fp => &mut self.fp,
-        }
-    }
-}
-
-impl Scheduler for ScanIssueFifo {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn try_dispatch(&mut self, d: &DispatchInst, _now: Cycle) -> Result<(), DispatchStall> {
-        let side = d.side();
-        let em = self.energy_model[side.index()];
-        let reads = d.src_arch.iter().flatten().count() as u64;
-        self.meter
-            .add_events(Component::Qrename, reads, em.qrename_read);
-        self.array(side).try_dispatch(d)?;
-        self.meter.add(Component::Qrename, em.qrename_write);
-        self.meter.add(Component::Fifo, em.fifo_write);
-        Ok(())
-    }
-
-    fn issue_cycle(&mut self, _now: Cycle, sink: &mut dyn IssueSink) {
-        let mut candidates: Vec<(u64, Side, usize, Entry)> = Vec::new();
-        for (side, array) in [(Side::Int, &self.int), (Side::Fp, &self.fp)] {
-            let em = self.energy_model[side.index()];
-            for (q, e) in array.heads() {
-                let nsrc = e.srcs.iter().flatten().count() as u64;
-                self.meter
-                    .add_events(Component::RegsReady, nsrc, em.regs_ready_read);
-                let ready = e.srcs.iter().flatten().all(|&r| sink.is_ready(r));
-                if ready {
-                    candidates.push((e.id.0, side, q, e));
-                }
-            }
-        }
-        candidates.sort_unstable_by_key(|c| c.0);
-        for (_, side, q, e) in candidates {
-            if sink.try_issue(e.id, e.op, Some((side, q))) {
-                let em = self.energy_model[side.index()];
-                if e.srcs.iter().flatten().any(|&r| sink.is_spec_ready(r)) {
-                    self.array(side).hold_head(q);
-                } else {
-                    self.array(side).pop_head(q);
-                }
-                self.meter.add(Component::Fifo, em.fifo_read);
-                let (mux, pj) = em.mux.event(e.op);
-                self.meter.add(mux, pj);
-            }
-        }
-    }
-
-    fn on_result(&mut self, dst: PhysReg, _now: Cycle) {
-        let em = self.energy_model[dst.class().index()];
-        self.meter.add(Component::RegsReady, em.regs_ready_write);
-    }
-
-    fn on_mispredict(&mut self) {
-        self.int.clear_steering();
-        self.fp.clear_steering();
-    }
-
-    fn squash(&mut self, from: InstId) {
-        self.int.squash(from);
-        self.fp.squash(from);
-    }
-
-    fn cancel(&mut self, tag: PhysReg) {
-        self.int.cancel(tag);
-        self.fp.cancel(tag);
-    }
-
-    fn occupancy(&self) -> (usize, usize) {
-        (self.int.len(), self.fp.len())
-    }
-
-    fn energy(&self) -> &EnergyMeter {
-        &self.meter
-    }
-
-    fn fu_topology(&self) -> &FuTopology {
-        &self.topology
-    }
-}
-
-// ---- LatFIFO ----------------------------------------------------------
-
-#[derive(Clone, Debug)]
-struct LatQueues {
-    queues: Vec<VecDeque<Entry>>,
-    /// Per-entry issue estimates, parallel to `queues` (squash support:
-    /// the surviving tail's estimate re-anchors `tail_est`).
-    ests: Vec<VecDeque<Cycle>>,
-    capacity: usize,
-    tail_est: Vec<Option<Cycle>>,
-}
-
-impl LatQueues {
-    fn new(queues: usize, capacity: usize) -> Self {
-        assert!(queues > 0 && capacity > 0);
-        LatQueues {
-            queues: vec![VecDeque::with_capacity(capacity); queues],
-            ests: vec![VecDeque::with_capacity(capacity); queues],
-            capacity,
-            tail_est: vec![None; queues],
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.queues.iter().map(VecDeque::len).sum()
-    }
-
-    fn try_dispatch(&mut self, d: &DispatchInst, est: Cycle) -> Result<usize, DispatchStall> {
-        let q = self
-            .queues
-            .iter()
-            .enumerate()
-            .filter(|(i, q)| q.len() < self.capacity && self.tail_est[*i].is_some_and(|t| t < est))
-            .max_by_key(|(i, _)| self.tail_est[*i])
-            .map(|(i, _)| i)
-            .or_else(|| self.queues.iter().position(VecDeque::is_empty));
-        let q = q.ok_or(DispatchStall::NoEmptyQueue)?;
-        self.queues[q].push_back(Entry {
-            id: d.id,
-            op: d.op,
-            srcs: d.srcs,
-            held: false,
-        });
-        self.ests[q].push_back(est);
-        self.tail_est[q] = Some(est);
-        Ok(q)
-    }
-
-    fn pop_head(&mut self, q: usize) -> Entry {
-        let e = self.queues[q].pop_front().expect("pop from empty queue");
-        self.ests[q].pop_front();
-        if self.queues[q].is_empty() {
-            self.tail_est[q] = None;
-        }
-        e
-    }
-
-    fn squash(&mut self, from: InstId) {
-        for q in 0..self.queues.len() {
-            while self.queues[q].back().is_some_and(|e| e.id >= from) {
-                self.queues[q].pop_back();
-                self.ests[q].pop_back();
-            }
-            self.tail_est[q] = self.ests[q].back().copied();
-        }
-    }
-
-    fn heads(&self) -> impl Iterator<Item = (usize, Entry)> + '_ {
-        self.queues
-            .iter()
-            .enumerate()
-            .filter_map(|(q, fifo)| fifo.front().filter(|e| !e.held).map(|e| (q, *e)))
-    }
-
-    fn hold_head(&mut self, q: usize) {
-        self.queues[q]
-            .front_mut()
-            .expect("hold on empty queue")
-            .held = true;
-    }
-
-    fn cancel(&mut self, tag: PhysReg) {
-        for fifo in &mut self.queues {
-            for e in fifo.iter_mut() {
-                if e.srcs.contains(&Some(tag)) {
-                    e.held = false;
-                }
-            }
-        }
-    }
-}
-
-struct ScanLatFifo {
-    name: String,
-    int: FifoArray,
-    fp: LatQueues,
-    estimator: IssueTimeEstimator,
-    energy_model: [FifoEnergy; 2],
-    meter: EnergyMeter,
-    topology: FuTopology,
-}
-
-impl ScanLatFifo {
-    fn new(
-        name: String,
-        int: (usize, usize),
-        fp: (usize, usize),
-        topology: FuTopology,
-        cfg: &ProcessorConfig,
-    ) -> Self {
-        let tech = TechParams::um100();
-        ScanLatFifo {
-            name,
-            int: FifoArray::new(int.0, int.1),
-            fp: LatQueues::new(fp.0, fp.1),
-            estimator: IssueTimeEstimator::new(cfg.lat, cfg.mem.dl1.latency),
-            energy_model: [
-                FifoEnergy::new(int.1, int.0, cfg.phys_int_regs, &topology, &tech),
-                FifoEnergy::new(fp.1, fp.0, cfg.phys_fp_regs, &topology, &tech),
-            ],
-            meter: EnergyMeter::new(),
-            topology,
-        }
-    }
-
-    fn peek_estimate(&self, d: &DispatchInst, now: Cycle) -> Cycle {
-        let mut issue = now + 1;
-        for src in d.src_arch.into_iter().flatten() {
-            issue = issue.max(self.estimator.operand_cycle(src));
-        }
-        issue
-    }
-}
-
-impl Scheduler for ScanLatFifo {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn try_dispatch(&mut self, d: &DispatchInst, now: Cycle) -> Result<(), DispatchStall> {
-        let side = d.side();
-        let em = self.energy_model[side.index()];
-        let reads = d.src_arch.iter().flatten().count() as u64;
-        self.meter
-            .add_events(Component::Qrename, reads, em.qrename_read);
-        match side {
-            Side::Int => {
-                self.int.try_dispatch(d)?;
-            }
-            Side::Fp => {
-                let est = self.peek_estimate(d, now);
-                self.fp.try_dispatch(d, est)?;
-            }
-        }
-        let _ = self
-            .estimator
-            .estimate_parts(d.op, d.src_arch, d.dst_arch, now);
-        self.meter.add(Component::Qrename, em.qrename_write);
-        self.meter.add(Component::Fifo, em.fifo_write);
-        Ok(())
-    }
-
-    fn issue_cycle(&mut self, _now: Cycle, sink: &mut dyn IssueSink) {
-        let mut candidates: Vec<(u64, Side, usize, Entry)> = Vec::new();
-        {
-            let em = self.energy_model[Side::Int.index()];
-            for (q, e) in self.int.heads() {
-                let nsrc = e.srcs.iter().flatten().count() as u64;
-                self.meter
-                    .add_events(Component::RegsReady, nsrc, em.regs_ready_read);
-                if e.srcs.iter().flatten().all(|&r| sink.is_ready(r)) {
-                    candidates.push((e.id.0, Side::Int, q, e));
-                }
-            }
-        }
-        {
-            let em = self.energy_model[Side::Fp.index()];
-            for (q, e) in self.fp.heads() {
-                let nsrc = e.srcs.iter().flatten().count() as u64;
-                self.meter
-                    .add_events(Component::RegsReady, nsrc, em.regs_ready_read);
-                if e.srcs.iter().flatten().all(|&r| sink.is_ready(r)) {
-                    candidates.push((e.id.0, Side::Fp, q, e));
-                }
-            }
-        }
-        candidates.sort_unstable_by_key(|c| c.0);
-        for (_, side, q, e) in candidates {
-            if sink.try_issue(e.id, e.op, Some((side, q))) {
-                let spec = e.srcs.iter().flatten().any(|&r| sink.is_spec_ready(r));
-                match (side, spec) {
-                    (Side::Int, false) => {
-                        self.int.pop_head(q);
-                    }
-                    (Side::Int, true) => self.int.hold_head(q),
-                    (Side::Fp, false) => {
-                        self.fp.pop_head(q);
-                    }
-                    (Side::Fp, true) => self.fp.hold_head(q),
-                }
-                let em = self.energy_model[side.index()];
-                self.meter.add(Component::Fifo, em.fifo_read);
-                let (mux, pj) = em.mux.event(e.op);
-                self.meter.add(mux, pj);
-            }
-        }
-    }
-
-    fn on_result(&mut self, dst: PhysReg, _now: Cycle) {
-        let em = self.energy_model[dst.class().index()];
-        self.meter.add(Component::RegsReady, em.regs_ready_write);
-    }
-
-    fn on_mispredict(&mut self) {
-        self.int.clear_steering();
-    }
-
-    fn squash(&mut self, from: InstId) {
-        self.int.squash(from);
-        self.fp.squash(from);
-    }
-
-    fn cancel(&mut self, tag: PhysReg) {
-        self.int.cancel(tag);
-        self.fp.cancel(tag);
-    }
-
-    fn occupancy(&self) -> (usize, usize) {
-        (self.int.len(), self.fp.len())
-    }
-
-    fn energy(&self) -> &EnergyMeter {
-        &self.meter
-    }
-
-    fn fu_topology(&self) -> &FuTopology {
-        &self.topology
-    }
-}
-
 // ---- MixBUFF ----------------------------------------------------------
 
 #[derive(Clone, Copy, Debug)]
@@ -1326,32 +816,23 @@ impl Scheduler for ScanMixBuff {
     }
 
     fn issue_cycle(&mut self, now: Cycle, sink: &mut dyn IssueSink) {
-        let mut candidates: Vec<(u64, usize, Entry)> = Vec::new();
-        {
-            let em = self.energy_model[Side::Int.index()];
-            for (q, e) in self.int.heads() {
-                let nsrc = e.srcs.iter().flatten().count() as u64;
-                self.meter
-                    .add_events(Component::RegsReady, nsrc, em.regs_ready_read);
-                if e.srcs.iter().flatten().all(|&r| sink.is_ready(r)) {
-                    candidates.push((e.id.0, q, e));
-                }
-            }
-        }
-        candidates.sort_unstable_by_key(|c| c.0);
-        for (_, q, e) in candidates {
-            if sink.try_issue(e.id, e.op, Some((Side::Int, q))) {
-                if e.srcs.iter().flatten().any(|&r| sink.is_spec_ready(r)) {
-                    self.int.hold_head(q);
-                } else {
-                    self.int.pop_head(q);
-                }
-                let em = self.energy_model[Side::Int.index()];
-                self.meter.add(Component::Fifo, em.fifo_read);
-                let (mux, pj) = em.mux.event(e.op);
-                self.meter.add(mux, pj);
-            }
-        }
+        let mut candidates = Vec::new();
+        let em_int = &self.energy_model[Side::Int.index()];
+        poll_heads(
+            self.int.heads(),
+            Side::Int,
+            em_int,
+            &mut self.meter,
+            sink,
+            &mut candidates,
+        );
+        issue_oldest(
+            &mut candidates,
+            &self.energy_model,
+            &mut self.meter,
+            sink,
+            |_, q, spec| self.int.take_head(q, spec),
+        );
 
         let em_fp = self.energy_model[Side::Fp.index()];
         let mut winners: Vec<(u64, usize, usize, BuffEntry)> = Vec::new();

@@ -24,10 +24,52 @@
 //! keep the naive array-of-structs layout; `tests/golden_stats.rs` proves
 //! the statistics (including every energy figure) stay bit-identical.
 
-use crate::fifo::Entry;
+use crate::DispatchInst;
 use diq_isa::{InstId, OpClass, PhysReg};
 
 const WORD_BITS: usize = 64;
+
+/// One queued instruction of an event-driven scheme, in struct form: what
+/// dispatch inserts into an [`EntryStore`] and what a selection snapshot
+/// reads back.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Entry {
+    pub id: InstId,
+    pub op: OpClass,
+    pub srcs: [Option<PhysReg>; 2],
+    pub ready: [bool; 2],
+    /// Issued on a speculative operand and kept in its slot until the miss
+    /// cancel returns it to waiting (load-hit speculation).
+    pub held: bool,
+}
+
+impl Entry {
+    pub(crate) fn new(d: &DispatchInst) -> Self {
+        let mut ready = [true, true];
+        for (i, src) in d.srcs.iter().enumerate() {
+            if src.is_some() {
+                ready[i] = d.srcs_ready[i];
+            }
+        }
+        Entry {
+            id: d.id,
+            op: d.op,
+            srcs: d.srcs,
+            ready,
+            held: false,
+        }
+    }
+
+    pub(crate) fn all_ready(&self) -> bool {
+        self.ready[0] && self.ready[1]
+    }
+
+    /// Number of operand reads a scoreboard check performs (present
+    /// sources).
+    pub(crate) fn nsrc(&self) -> u64 {
+        self.srcs.iter().flatten().count() as u64
+    }
+}
 
 /// Fixed-capacity SoA entry storage with `u64` flag bitsets.
 #[derive(Clone, Debug)]

@@ -34,10 +34,10 @@ fn make(
     }
 }
 
-/// A test sink with unlimited functional units. Readiness lives in the
-/// schedulers' own event-driven ready bits (set via `srcs_ready` at
-/// dispatch and `on_result` broadcasts), so the sink's scoreboard always
-/// answers "ready" — only the scan reference models still consult it.
+/// A test sink with unlimited functional units. Its scoreboard is what the
+/// head-polling FIFOs read; the event-driven schemes keep their own ready
+/// bits (set via `srcs_ready` at dispatch and `on_result` broadcasts) and
+/// never ask it.
 pub(crate) struct BoundedSink {
     /// Accepted instructions, in acceptance order.
     pub issued: Vec<InstId>,
@@ -49,16 +49,14 @@ pub(crate) struct BoundedSink {
     /// speculation tests): `is_spec_ready` answers from this set, so an
     /// issue consuming one must be held by the scheduler.
     pub spec: Vec<PhysReg>,
+    /// Registers whose value is not yet produced: `is_ready` answers
+    /// `false` for these and `true` for every other register.
+    pub pending: Vec<PhysReg>,
 }
 
 impl BoundedSink {
     pub(crate) fn all_ready() -> Self {
-        BoundedSink {
-            issued: Vec::new(),
-            width: usize::MAX,
-            from: Vec::new(),
-            spec: Vec::new(),
-        }
+        BoundedSink::with_width(usize::MAX)
     }
 
     pub(crate) fn with_width(width: usize) -> Self {
@@ -67,13 +65,22 @@ impl BoundedSink {
             width,
             from: Vec::new(),
             spec: Vec::new(),
+            pending: Vec::new(),
+        }
+    }
+
+    /// A sink whose scoreboard has not yet seen `pending`.
+    pub(crate) fn waiting_on(pending: &[PhysReg]) -> Self {
+        BoundedSink {
+            pending: pending.to_vec(),
+            ..BoundedSink::all_ready()
         }
     }
 }
 
 impl IssueSink for BoundedSink {
-    fn is_ready(&self, _r: PhysReg) -> bool {
-        true
+    fn is_ready(&self, r: PhysReg) -> bool {
+        !self.pending.contains(&r)
     }
 
     fn is_spec_ready(&self, r: PhysReg) -> bool {

@@ -8,9 +8,11 @@
 //! module existed the simulator modelled every scheme the CAM way — each
 //! result (and each cycle's readiness check) scanned full entry vectors —
 //! so simulated wall-clock did not reflect the complexity the paper
-//! measures. Now each scheduler owns a [`WakeupMap`] (`tag → [waiter]`): a
-//! result broadcast is a [`WakeupEvent`] that touches only the entries
-//! actually listening for that tag.
+//! measures. Now each CAM array and MixBUFF's FP buffers own a
+//! [`WakeupMap`] (`tag → [waiter]`): a result broadcast is a
+//! [`WakeupEvent`] that touches only the entries actually listening for
+//! that tag. The FIFO queues have no broadcast to model — their heads poll
+//! the scoreboard — so they own none.
 //!
 //! **Energy accounting stays broadcast-shaped.** The physical machine still
 //! drives the tag lines across every occupied bank and evaluates a

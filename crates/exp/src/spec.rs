@@ -46,7 +46,9 @@ impl SchemeSel {
     ///
     /// # Errors
     ///
-    /// Unknown labels name the registry in the message.
+    /// Unknown labels name the registry in the message; an inline
+    /// configuration with a zero-size geometry names the scheme and the
+    /// field ([`SchedulerConfig::validate`]).
     pub fn resolve(&self) -> Result<SchedulerConfig, String> {
         match self {
             SchemeSel::Label(l) => SchedulerConfig::by_label(l).ok_or_else(|| {
@@ -55,7 +57,7 @@ impl SchemeSel {
                     SchedulerConfig::KNOWN_LABELS.join(", ")
                 )
             }),
-            SchemeSel::Config(c) => Ok(c.clone()),
+            SchemeSel::Config(c) => c.validate().map(|()| c.clone()),
         }
     }
 }

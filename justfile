@@ -122,7 +122,9 @@ bench-adaptive:
 
 # Simulator-throughput benchmark over the stress grid: simulated
 # instrs/sec per point, event-driven wakeup vs the frozen scan reference,
-# written to BENCH_stress-1m.json. Pass `--baseline <BENCH_*.json>` by hand
+# written to BENCH_stress-1m.json. Only the CAM, the adaptive CAM and the
+# MixBUFF FP buffers have two models; IssueFIFO and LatFIFO poll their
+# heads in both columns. Pass `--baseline <BENCH_*.json>` by hand
 # to gate against an earlier record.
 bench-throughput:
     cargo build --release

@@ -1,9 +1,12 @@
 //! Golden equivalence test for the event-driven wakeup refactor.
 //!
-//! The schedulers in `diq-core` simulate wakeup/select event-driven
-//! (per-tag consumer lists, ready lists, per-chain selection) while the
-//! frozen scan implementations in `diq_core::reference` model the same
-//! hardware by re-scanning full entry vectors every cycle. These tests run
+//! The CAM schemes and MixBUFF's FP buffers simulate wakeup/select
+//! event-driven (per-tag consumer lists, ready lists, per-chain selection)
+//! while the frozen scan implementations in `diq_core::reference` model
+//! the same hardware by re-scanning full entry vectors every cycle.
+//! IssueFIFO and LatFIFO have one head-polling model, so here they are
+//! compared with themselves; `tests/pinned_stats.rs` pins their absolute
+//! statistics. These tests run
 //! the *same* trace through both on the identical pipeline substrate and
 //! assert the complete `SimStats` — cycles, IPC numerators, stall
 //! breakdowns, occupancy histograms, and every `f64` of the energy meters —

@@ -242,3 +242,57 @@ fn usage_lists_experiment_subcommands() {
         );
     }
 }
+
+/// An inline scheme with a zero-size geometry is a spec error naming the
+/// scheme and the field, for every scheme family — never a panic inside
+/// the simulator.
+#[test]
+fn zero_size_scheme_geometry_is_an_error_not_a_panic() {
+    let fifo =
+        r#"{"int":{"queues":0,"entries":8},"fp":{"queues":8,"entries":16},"distributed_fus":true}"#;
+    let cases = [
+        (
+            r#"{"Cam":{"int_entries":64,"fp_entries":64,"banks":0}}"#.to_string(),
+            "scheme IQ_64_64: banks must be at least 1",
+        ),
+        (
+            r#"{"AdaptiveCam":{"int_entries":64,"fp_entries":0,"banks":8}}"#.to_string(),
+            "scheme IQ_64_0_adapt: fp_entries must be at least 1",
+        ),
+        (
+            format!(r#"{{"IssueFifo":{fifo}}}"#),
+            "scheme IF_distr: int.queues must be at least 1",
+        ),
+        (
+            format!(r#"{{"LatFifo":{fifo}}}"#),
+            "scheme LatFIFO_0x8_8x16: int.queues must be at least 1",
+        ),
+        (
+            r#"{"MixBuff":{"int":{"queues":8,"entries":8},"fp":{"queues":8,"entries":16},"chains_per_queue":0,"distributed_fus":true}}"#
+                .to_string(),
+            "scheme MB_distr_c0: chains_per_queue must be at least 1",
+        ),
+    ];
+    let dir = tmp_dir("zero-geometry");
+    for (i, (scheme, want)) in cases.iter().enumerate() {
+        let spec = dir.join(format!("spec{i}.json"));
+        fs::write(
+            &spec,
+            format!(
+                r#"{{"name":"zero-{i}","instructions":["1k"],"schemes":[{scheme}],"workloads":[{{"source":"kernel:gzip"}}]}}"#
+            ),
+        )
+        .unwrap();
+        let out = diq(&[
+            "sweep",
+            spec.to_str().unwrap(),
+            "--store",
+            dir.join("store").to_str().unwrap(),
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{scheme}: {stderr}");
+        assert!(stderr.contains(want), "{scheme}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{scheme}: {stderr}");
+    }
+    let _ = fs::remove_dir_all(dir);
+}
