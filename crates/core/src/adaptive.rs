@@ -187,6 +187,16 @@ impl BankController {
         }
     }
 
+    /// Ticks that can run before one closes an epoch (unbounded when the
+    /// controller is off: its tick does nothing).
+    pub(crate) fn ticks_before_boundary(&self) -> u64 {
+        if self.cfg.enabled {
+            self.cfg.epoch_cycles - 1 - self.cycle_in_epoch
+        } else {
+            u64::MAX
+        }
+    }
+
     /// One cycle's controller update with the side's current occupancy.
     /// Called exactly once per `issue_cycle`; at an epoch boundary it may
     /// grow or (if occupancy already fits) shrink the powered-bank count.
@@ -415,6 +425,11 @@ impl AdaptiveCamIssueQueue {
             Side::Fp => &mut self.fp,
         }
     }
+
+    /// One cycle's retention energy of the powered banks.
+    fn bank_idle_pj(&self) -> f64 {
+        (self.int.ctrl.powered() + self.fp.ctrl.powered()) as f64 * self.energy_model.bank_idle
+    }
 }
 
 impl Scheduler for AdaptiveCamIssueQueue {
@@ -438,11 +453,7 @@ impl Scheduler for AdaptiveCamIssueQueue {
         // Retention of what is powered this cycle, before any selection
         // work — one meter event, mirrored exactly by the scan twin.
         if self.enabled {
-            self.meter.add(
-                Component::BankIdle,
-                (self.int.ctrl.powered() + self.fp.ctrl.powered()) as f64
-                    * self.energy_model.bank_idle,
-            );
+            self.meter.add(Component::BankIdle, self.bank_idle_pj());
         }
         let mut candidates = std::mem::take(&mut self.candidates);
         candidates.clear();
@@ -485,6 +496,37 @@ impl Scheduler for AdaptiveCamIssueQueue {
         self.int.ctrl.tick(len);
         let len = self.fp.store.len();
         self.fp.ctrl.tick(len);
+    }
+
+    fn skip_idle(&mut self, _now: Cycle, cycles: u64, _refused: Option<&DispatchInst>) -> u64 {
+        // As the static CAM, plus the controller: retention and both ticks
+        // every cycle. A tick that closes an epoch may resize, and a grown
+        // capacity can admit that same cycle's dispatch, so the replay
+        // stops short of the next epoch boundary.
+        debug_assert_eq!(
+            self.int.store.selectable_count() + self.fp.store.selectable_count(),
+            0,
+            "idle cycle with a selectable entry"
+        );
+        let cycles = cycles
+            .min(self.int.ctrl.ticks_before_boundary())
+            .min(self.fp.ctrl.ticks_before_boundary());
+        let bank_idle = self.bank_idle_pj();
+        let pj = self.energy_model.select.select_energy_pj(&self.tech, 0);
+        let lens = [self.int.store.len(), self.fp.store.len()];
+        for _ in 0..cycles {
+            if self.enabled {
+                self.meter.add(Component::BankIdle, bank_idle);
+            }
+            for len in lens {
+                if len > 0 {
+                    self.meter.add(Component::Select, pj);
+                }
+            }
+            self.int.ctrl.tick(lens[0]);
+            self.fp.ctrl.tick(lens[1]);
+        }
+        cycles
     }
 
     fn on_result(&mut self, dst: PhysReg, _now: Cycle) {

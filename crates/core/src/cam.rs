@@ -275,6 +275,28 @@ impl Scheduler for CamIssueQueue {
         self.candidates = candidates;
     }
 
+    fn skip_idle(&mut self, _now: Cycle, cycles: u64, _refused: Option<&DispatchInst>) -> u64 {
+        // Readiness changes only on a broadcast, so an idle cycle's empty
+        // selection repeats until the next event: each occupied side pays
+        // a selection pass over zero requests. A refused dispatch (`Full`)
+        // charges nothing.
+        debug_assert_eq!(
+            self.int.store.selectable_count() + self.fp.store.selectable_count(),
+            0,
+            "idle cycle with a selectable entry"
+        );
+        let pj = self.energy_model.select.select_energy_pj(&self.tech, 0);
+        let live = [self.int.store.len() > 0, self.fp.store.len() > 0];
+        for _ in 0..cycles {
+            for side_live in live {
+                if side_live {
+                    self.meter.add(Component::Select, pj);
+                }
+            }
+        }
+        cycles
+    }
+
     fn on_result(&mut self, dst: PhysReg, _now: Cycle) {
         // The tag is broadcast on the networks that can carry its class:
         // integer results wake integer-side entries; FP results wake FP-side

@@ -76,12 +76,27 @@ pub(crate) fn poll_heads(
     out: &mut Vec<Candidate>,
 ) {
     for (q, e) in heads {
-        let nsrc = e.srcs.iter().flatten().count() as u64;
-        meter.add_events(Component::RegsReady, nsrc, em.regs_ready_read);
+        meter.add(Component::RegsReady, poll_pj(&e, em));
         if e.srcs.iter().flatten().all(|&r| sink.is_ready(r)) {
             out.push((e.id.0, side, q, e));
         }
     }
+}
+
+/// The `RegsReady` energy of one head's scoreboard check: a read per
+/// present operand, ready or not. An idle cycle's [`poll_heads`] charges
+/// exactly this for every head, which is what a skipped idle cycle
+/// replays.
+pub(crate) fn poll_pj(e: &FifoEntry, em: &FifoEnergy) -> f64 {
+    e.srcs.iter().flatten().count() as f64 * em.regs_ready_read
+}
+
+/// The steering-table reads every dispatch attempt pays before the
+/// steering decision — also when the attempt is refused (the table is
+/// indexed during rename).
+pub(crate) fn charge_qrename_reads(d: &DispatchInst, em: &FifoEnergy, meter: &mut EnergyMeter) {
+    let reads = d.src_arch.iter().flatten().count() as u64;
+    meter.add_events(Component::Qrename, reads, em.qrename_read);
 }
 
 /// Offers `candidates` to the sink oldest first. Each accepted head leaves
@@ -307,6 +322,8 @@ pub struct IssueFifo {
     meter: EnergyMeter,
     topology: FuTopology,
     candidates: Vec<Candidate>,
+    /// Skip scratch: one idle cycle's head-poll charges, in poll order.
+    idle_polls: Vec<f64>,
 }
 
 impl IssueFifo {
@@ -332,6 +349,7 @@ impl IssueFifo {
             meter: EnergyMeter::new(),
             topology,
             candidates: Vec::new(),
+            idle_polls: Vec::with_capacity(int.0 + fp.0),
         }
     }
 
@@ -351,11 +369,7 @@ impl Scheduler for IssueFifo {
     fn try_dispatch(&mut self, d: &DispatchInst, _now: Cycle) -> Result<(), DispatchStall> {
         let side = d.side();
         let em = self.energy_model[side.index()];
-        // The steering table is consulted for both operands regardless of
-        // the outcome (it is indexed during rename).
-        let reads = d.src_arch.iter().flatten().count() as u64;
-        self.meter
-            .add_events(Component::Qrename, reads, em.qrename_read);
+        charge_qrename_reads(d, &em, &mut self.meter);
         self.array(side).try_dispatch(d)?;
         self.meter.add(Component::Qrename, em.qrename_write);
         self.meter.add(Component::Fifo, em.fifo_write);
@@ -389,6 +403,30 @@ impl Scheduler for IssueFifo {
             },
         );
         self.candidates = candidates;
+    }
+
+    fn skip_idle(&mut self, _now: Cycle, cycles: u64, refused: Option<&DispatchInst>) -> u64 {
+        // Heads and their readiness change only on an issue or a result,
+        // and steering only on a dispatch or a mispredict: each idle cycle
+        // repeats the head polls, and the refused dispatch its steering
+        // reads.
+        let mut polls = std::mem::take(&mut self.idle_polls);
+        polls.clear();
+        for (side, array) in [(Side::Int, &self.int), (Side::Fp, &self.fp)] {
+            let em = &self.energy_model[side.index()];
+            polls.extend(array.heads().map(|(_, e)| poll_pj(&e, em)));
+        }
+        for _ in 0..cycles {
+            for &pj in &polls {
+                self.meter.add(Component::RegsReady, pj);
+            }
+            if let Some(d) = refused {
+                let em = &self.energy_model[d.side().index()];
+                charge_qrename_reads(d, em, &mut self.meter);
+            }
+        }
+        self.idle_polls = polls;
+        cycles
     }
 
     fn on_result(&mut self, dst: PhysReg, _now: Cycle) {

@@ -256,6 +256,30 @@ pub trait Scheduler {
     /// The functional-unit topology this scheme was configured with.
     fn fu_topology(&self) -> &FuTopology;
 
+    /// Replays up to `cycles` idle cycles starting at `now` and returns how
+    /// many it replayed; the pipeline then jumps its clock by that many.
+    ///
+    /// The pipeline calls this right after a quiescent cycle `now - 1`: one
+    /// in which [`issue_cycle`](Scheduler::issue_cycle) offered nothing to
+    /// the sink, no result arrived, nothing dispatched, and — when
+    /// `refused` is `Some` — [`try_dispatch`](Scheduler::try_dispatch)
+    /// refused that instruction. No event arrives before `now + cycles`,
+    /// so each replayed cycle repeats that one unless time alone changes
+    /// something inside the scheme. An implementation therefore:
+    ///
+    /// * charges, cycle by cycle, exactly the energy `issue_cycle` and the
+    ///   refused `try_dispatch` would have charged, adding the same `f64`
+    ///   amounts to each meter component in the same order (`f64`
+    ///   addition is not associative, so `k × pj` is not the same number);
+    /// * makes every other per-cycle state change they would have made;
+    /// * stops before the first cycle at which time alone could change its
+    ///   selection, its dispatch decision or its state.
+    ///
+    /// The default replays nothing, so the pipeline steps every cycle.
+    fn skip_idle(&mut self, _now: Cycle, _cycles: u64, _refused: Option<&DispatchInst>) -> u64 {
+        0
+    }
+
     /// Adaptive-geometry counters `(resize_events, gated_bank_cycles)`,
     /// summed over both sides: how often the autoscaling controller changed
     /// the powered-bank count, and how many bank-cycles were spent

@@ -28,7 +28,7 @@
 //! way.
 
 use crate::energy::{FifoEnergy, MixEnergy};
-use crate::fifo::{self, poll_heads, Candidate, FifoArray};
+use crate::fifo::{self, charge_qrename_reads, poll_heads, poll_pj, Candidate, FifoArray};
 use crate::fu::FuTopology;
 use crate::select::{selection_key, LatencyCode};
 use crate::soa::{Entry, EntryStore};
@@ -105,6 +105,17 @@ impl MixQueues {
     fn chain_free(&self, q: usize, c: usize, now: Cycle) -> bool {
         let ch = &self.chains[q][c];
         ch.members.is_empty() && ch.ready <= now
+    }
+
+    /// The first cycle at or after `now` at which time alone changes a
+    /// chain: its latency code turns `11 → 00` at `ready` and `00 → 01` at
+    /// `ready + 1`, and it becomes reallocatable at `ready`.
+    fn next_flip(&self, now: Cycle) -> Option<Cycle> {
+        self.chains
+            .iter()
+            .flatten()
+            .filter_map(|ch| [ch.ready, ch.ready + 1].into_iter().find(|&f| f >= now))
+            .min()
     }
 
     fn place(&mut self, q: usize, c: usize, d: &DispatchInst) {
@@ -296,6 +307,12 @@ impl MixQueues {
     }
 }
 
+/// The selection pass a live FP queue pays every cycle, over its
+/// `occupancy` entries.
+fn select_pj(mix: &MixEnergy, occupancy: usize) -> f64 {
+    mix.select.select_energy_pj(&TechParams::um100(), occupancy)
+}
+
 /// The `MixBUFF` scheduler (`MB_distr` when configured with distributed
 /// functional units).
 ///
@@ -321,6 +338,10 @@ pub struct MixBuff {
     topology: FuTopology,
     candidates: Vec<Candidate>,
     winners: Vec<(u64, usize, usize, Entry)>,
+    /// Skip scratch: one idle cycle's `RegsReady` charges (integer heads,
+    /// then FP winners by age) and its per-live-queue `Select` charges.
+    idle_regs: Vec<f64>,
+    idle_selects: Vec<f64>,
 }
 
 impl MixBuff {
@@ -353,6 +374,8 @@ impl MixBuff {
             topology,
             candidates: Vec::new(),
             winners: Vec::new(),
+            idle_regs: Vec::with_capacity(int.0 + fp.0),
+            idle_selects: Vec::with_capacity(fp.0),
         }
     }
 
@@ -375,9 +398,7 @@ impl Scheduler for MixBuff {
     fn try_dispatch(&mut self, d: &DispatchInst, now: Cycle) -> Result<(), DispatchStall> {
         let side = d.side();
         let em = self.energy_model[side.index()];
-        let reads = d.src_arch.iter().flatten().count() as u64;
-        self.meter
-            .add_events(Component::Qrename, reads, em.qrename_read);
+        charge_qrename_reads(d, &em, &mut self.meter);
         match side {
             Side::Int => {
                 self.int.try_dispatch(d)?;
@@ -429,12 +450,8 @@ impl Scheduler for MixBuff {
             // cycle the queue is live.
             self.meter
                 .add(Component::Chains, self.mix_energy.chains_cycle);
-            self.meter.add(
-                Component::Select,
-                self.mix_energy
-                    .select
-                    .select_energy_pj(&TechParams::um100(), occupancy),
-            );
+            self.meter
+                .add(Component::Select, select_pj(&self.mix_energy, occupancy));
             if let Some((c, e)) = self.fp.select(q, now) {
                 winners.push((e.id.0, q, c, e));
             }
@@ -461,6 +478,64 @@ impl Scheduler for MixBuff {
             }
         }
         self.winners = winners;
+    }
+
+    fn skip_idle(&mut self, now: Cycle, cycles: u64, refused: Option<&DispatchInst>) -> u64 {
+        // Until a chain's latency code or reallocatability flips, each FP
+        // queue keeps selecting the same not-yet-ready winner, which polls
+        // the scoreboard and is delayed again; the integer heads repeat
+        // as in IssueFIFO. One cycle's charges are gathered once, in the
+        // order `issue_cycle` makes them, then replayed per cycle.
+        let cycles = cycles.min(self.fp.next_flip(now).map_or(u64::MAX, |f| f - now));
+        if cycles == 0 {
+            return 0;
+        }
+        let em_int = self.energy_model[Side::Int.index()];
+        let em_fp = self.energy_model[Side::Fp.index()];
+        let mut regs = std::mem::take(&mut self.idle_regs);
+        let mut selects = std::mem::take(&mut self.idle_selects);
+        let mut winners = std::mem::take(&mut self.winners);
+        regs.clear();
+        selects.clear();
+        winners.clear();
+        regs.extend(self.int.heads().map(|(_, e)| poll_pj(&e, &em_int)));
+        for q in 0..self.fp.queues() {
+            let occupancy = self.fp.queue_len[q];
+            if occupancy > 0 {
+                selects.push(select_pj(&self.mix_energy, occupancy));
+                if let Some((c, e)) = self.fp.select(q, now) {
+                    winners.push((e.id.0, q, c, e));
+                }
+            }
+        }
+        winners.sort_unstable_by_key(|w| w.0);
+        debug_assert!(
+            winners.iter().all(|w| !w.3.all_ready()),
+            "idle cycle with a ready FP winner"
+        );
+        regs.extend(
+            winners
+                .iter()
+                .map(|w| w.3.nsrc() as f64 * em_fp.regs_ready_read),
+        );
+        for _ in 0..cycles {
+            for &pj in &regs {
+                self.meter.add(Component::RegsReady, pj);
+            }
+            for &pj in &selects {
+                self.meter
+                    .add(Component::Chains, self.mix_energy.chains_cycle);
+                self.meter.add(Component::Select, pj);
+            }
+            if let Some(d) = refused {
+                let em = &self.energy_model[d.side().index()];
+                charge_qrename_reads(d, em, &mut self.meter);
+            }
+        }
+        self.idle_regs = regs;
+        self.idle_selects = selects;
+        self.winners = winners;
+        cycles
     }
 
     fn on_result(&mut self, dst: PhysReg, _now: Cycle) {
@@ -690,6 +765,35 @@ mod tests {
         s.issue_cycle(5, &mut sink);
         assert_eq!(sink.issued, vec![InstId(2)]);
         assert_eq!(s.occupancy(), (0, 0));
+    }
+
+    /// The idle-cycle skip must stop at a chain's `ready + 1`: its code
+    /// turns `00 → 01` there, which can hand the queue to an older, ready
+    /// chain front that lost to it the cycle before.
+    #[test]
+    fn skip_stops_where_a_fresh_chain_turns_delayed() {
+        let cfg = ProcessorConfig::hpca2004();
+        let topology = FuTopology::Shared {
+            pool: diq_isa::FuPoolConfig::default(),
+        };
+        let mut s = MixBuff::new("t".into(), (4, 8), (1, 8), 2, true, topology, &cfg);
+        // Chain 0: an old, ready instruction. Chain 1: a young one waiting
+        // on pf40, whose chain finishes at cycle 10.
+        s.try_dispatch(&fp_di(1, OpClass::FpAdd, Some(4), [None, None]), 0)
+            .unwrap();
+        s.try_dispatch(&fp_di(9, OpClass::FpAdd, Some(5), [Some(40), None]), 0)
+            .unwrap();
+        s.fp.chains[0][0].ready = 0;
+        s.fp.chains[0][1].ready = 10;
+        // Cycle 10: the fresh (00) young front wins and is not ready.
+        let mut sink = BoundedSink::all_ready();
+        s.issue_cycle(10, &mut sink);
+        assert!(sink.issued.is_empty(), "idle cycle");
+        assert_eq!(s.skip_idle(11, 5, None), 0, "cycle 11 is not idle");
+        // Cycle 11: both codes read 01, the old ready front wins and issues.
+        let mut sink = BoundedSink::all_ready();
+        s.issue_cycle(11, &mut sink);
+        assert_eq!(sink.issued, vec![InstId(1)]);
     }
 
     #[test]

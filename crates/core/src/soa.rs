@@ -235,10 +235,10 @@ impl EntryStore {
     /// Number of selectable entries (see [`for_each_selectable`]). The
     /// schemes count candidates during the selection pass itself — one
     /// bitset scan serves selection and the select-energy charge — so
-    /// this independent recount exists for tests to cross-check against.
+    /// this independent recount exists for tests and debug assertions to
+    /// cross-check against.
     ///
     /// [`for_each_selectable`]: EntryStore::for_each_selectable
-    #[cfg(test)]
     pub(crate) fn selectable_count(&self) -> usize {
         self.live
             .iter()

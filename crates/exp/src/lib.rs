@@ -60,13 +60,13 @@ pub use throughput::{ThroughputPoint, ThroughputProbe, ThroughputSummary};
 
 use std::fmt;
 
-/// Default instructions per point when a spec omits the axis (matches the
-/// paper harness's per-benchmark default).
+/// Default instructions per point when a spec omits the axis (the
+/// per-benchmark count of the paper figures' grids).
 pub const DEFAULT_INSTRUCTIONS: u64 = 100_000;
 
 /// Default simulation worker count: the machine's available parallelism
-/// (4 when it cannot be queried). Shared by the sweep CLI and the figure
-/// harness.
+/// (4 when it cannot be queried). Shared by `diq sweep` and
+/// `diq figures`.
 #[must_use]
 pub fn default_threads() -> usize {
     std::thread::available_parallelism()

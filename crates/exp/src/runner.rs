@@ -7,9 +7,9 @@ use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Runs `jobs` independent tasks on up to `threads` workers and returns
-/// their results in job order, regardless of scheduling. The shared
-/// worklist pattern the paper harness uses, factored out so sweeps and
-/// figures share one execution path.
+/// their results in job order, regardless of scheduling. [`sweep_as`],
+/// behind both `diq sweep` and `diq figures`, runs every point through
+/// this one worklist.
 pub fn run_indexed<T, F>(jobs: usize, threads: usize, f: F) -> Vec<T>
 where
     T: Send,

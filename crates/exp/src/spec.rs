@@ -436,7 +436,7 @@ pub struct ExperimentSpec {
     #[serde(default)]
     pub description: Option<String>,
     /// Experiment-level seed shift. Every workload's seed is offset by this
-    /// value, so `seed: 0` (the default) reproduces the paper-harness runs
+    /// value, so `seed: 0` (the default) reproduces the paper figures' runs
     /// exactly and any other value re-randomizes the whole grid
     /// deterministically.
     #[serde(default)]

@@ -51,6 +51,9 @@ pub(crate) struct CycleSink<'a> {
     width_left: [usize; 2],
     lat: LatencyConfig,
     pub accepted: &'a mut Vec<Issued>,
+    /// `try_issue` calls this cycle, granted or not: a cycle with none is
+    /// one whose selection found nothing to offer.
+    pub attempts: u32,
 }
 
 impl<'a> CycleSink<'a> {
@@ -73,6 +76,7 @@ impl<'a> CycleSink<'a> {
             width_left: [width.0, width.1],
             lat,
             accepted,
+            attempts: 0,
         }
     }
 }
@@ -87,6 +91,7 @@ impl IssueSink for CycleSink<'_> {
     }
 
     fn try_issue(&mut self, inst: InstId, op: OpClass, queue: Option<(Side, usize)>) -> bool {
+        self.attempts += 1;
         let side = Side::of(op);
         if self.width_left[side.index()] == 0 {
             return false;
@@ -151,6 +156,9 @@ struct EventNode {
 /// Sentinel "no node" index for [`EventNode::next`] and the slot heads.
 const NIL: u32 = u32::MAX;
 
+/// Words of the slot-occupancy bitmap (one bit per wheel slot).
+const SLOT_WORDS: usize = WHEEL_SLOTS / 64;
+
 /// A time-ordered completion event queue.
 ///
 /// Implemented as a calendar wheel: events land in the slot of their due
@@ -176,10 +184,17 @@ const NIL: u32 = u32::MAX;
 /// was squashed (and its id possibly reissued to a correct-path successor),
 /// so the event is dead. Without speculation every token matches and the
 /// behaviour is exactly the pre-token queue's.
+///
+/// A bitmap mirrors which slots are non-empty, so [`next_at`]
+/// (Self::next_at) — asked on every quiescent cycle by the idle-cycle
+/// skip — is a `trailing_zeros` walk over 16 words rather than a scan of
+/// 1024 slot heads.
 #[derive(Debug)]
 pub(crate) struct EventQueue {
     /// Head node index per wheel slot ([`NIL`] when the slot is empty).
     heads: Box<[u32; WHEEL_SLOTS]>,
+    /// Bit `s` set ⇔ `heads[s] != NIL`.
+    occupied: [u64; SLOT_WORDS],
     /// Shared node arena; grows to the peak live-event count, then stops.
     nodes: Vec<EventNode>,
     /// Head of the intrusive free list threaded through `nodes[..].next`.
@@ -194,6 +209,7 @@ impl Default for EventQueue {
     fn default() -> Self {
         EventQueue {
             heads: Box::new([NIL; WHEEL_SLOTS]),
+            occupied: [0; SLOT_WORDS],
             nodes: Vec::new(),
             free: NIL,
             floor: 0,
@@ -239,6 +255,7 @@ impl EventQueue {
                 idx
             };
             self.heads[slot] = idx;
+            self.occupied[slot / 64] |= 1 << (slot % 64);
         } else {
             self.overflow.push(Reverse((at, id.0, kind, token)));
         }
@@ -249,12 +266,18 @@ impl EventQueue {
     /// buffer every cycle.
     pub(crate) fn drain_due(&mut self, now: Cycle, out: &mut Vec<(InstId, u64, EventKind)>) {
         out.clear();
+        if now > self.floor {
+            // The clock jumped over idle cycles: no slot before the next
+            // event holds anything, so start there.
+            self.floor = self.next_at().filter(|&t| t <= now).unwrap_or(now);
+        }
         while self.floor <= now {
             let t = self.floor;
             let start = out.len();
             let slot = (t as usize) % WHEEL_SLOTS;
             let mut idx = self.heads[slot];
             self.heads[slot] = NIL;
+            self.occupied[slot / 64] &= !(1 << (slot % 64));
             while idx != NIL {
                 let node = self.nodes[idx as usize];
                 out.push((InstId(node.id), node.token, node.kind));
@@ -275,17 +298,33 @@ impl EventQueue {
         self.len -= out.len();
     }
 
-    /// Earliest pending event time (drain diagnostics; O(wheel)).
+    /// Earliest pending event time: the first occupied wheel slot at or
+    /// after `floor` (every wheel event lies in `floor..floor + 1024`, so
+    /// slot distance is time distance), or the overflow heap's minimum if
+    /// that is sooner.
     pub(crate) fn next_at(&self) -> Option<Cycle> {
-        let mut earliest = self.overflow.peek().map(|Reverse((at, _, _, _))| *at);
-        for dt in 0..WHEEL_SLOTS as u64 {
-            let t = self.floor + dt;
-            if self.heads[(t as usize) % WHEEL_SLOTS] != NIL {
-                earliest = Some(earliest.map_or(t, |e| e.min(t)));
+        let overflow = self.overflow.peek().map(|Reverse((at, _, _, _))| *at);
+        let start = (self.floor as usize) % WHEEL_SLOTS;
+        let (w0, b0) = (start / 64, start % 64);
+        let mut wheel = None;
+        for i in 0..=SLOT_WORDS {
+            let w = (w0 + i) % SLOT_WORDS;
+            let bits = match i {
+                0 => self.occupied[w] & (!0u64 << b0),
+                SLOT_WORDS => self.occupied[w] & !(!0u64 << b0),
+                _ => self.occupied[w],
+            };
+            if bits != 0 {
+                let slot = w * 64 + bits.trailing_zeros() as usize;
+                let dist = (slot + WHEEL_SLOTS - start) % WHEEL_SLOTS;
+                wheel = Some(self.floor + dist as u64);
                 break;
             }
         }
-        earliest
+        match (wheel, overflow) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
     }
 
     #[cfg(test)]
@@ -311,6 +350,54 @@ mod tests {
         assert_eq!(due.len(), 2);
         assert_eq!(due[0].0, InstId(2));
         assert!(q.is_empty());
+    }
+
+    /// The pre-bitmap lookup: scan every slot head from `floor`.
+    fn next_at_by_scan(q: &EventQueue) -> Option<Cycle> {
+        let mut earliest = q.overflow.peek().map(|Reverse((at, _, _, _))| *at);
+        for dt in 0..WHEEL_SLOTS as u64 {
+            let t = q.floor + dt;
+            if q.heads[(t as usize) % WHEEL_SLOTS] != NIL {
+                earliest = Some(earliest.map_or(t, |e| e.min(t)));
+                break;
+            }
+        }
+        earliest
+    }
+
+    #[test]
+    fn next_at_bitmap_matches_a_scan_of_the_wheel() {
+        // xorshift64: a fixed, dependency-free pseudo-random stream.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut rand = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        let mut q = EventQueue::default();
+        let mut due = Vec::new();
+        let mut pending: Vec<Cycle> = Vec::new();
+        let mut now = 0;
+        for step in 0..20_000u64 {
+            // Bursts of events, up to 3000 cycles out: past the 1024-slot
+            // wheel, so the overflow heap takes part.
+            for _ in 0..rand(4) {
+                let far = rand(8) == 0;
+                let at = now + 1 + rand(if far { 3000 } else { 200 });
+                q.schedule(at, InstId(step), 0, EventKind::Complete);
+                pending.push(at);
+            }
+            // Jump ahead by 1..=300 cycles at a time, like the idle skip.
+            let leap = rand(4) == 0;
+            now += 1 + rand(if leap { 300 } else { 3 });
+            q.drain_due(now, &mut due);
+            pending.retain(|&at| at > now);
+            assert_eq!(pending.len(), q.len, "step {step}");
+            let expect = pending.iter().copied().min();
+            assert_eq!(q.next_at(), expect, "step {step}");
+            assert_eq!(next_at_by_scan(&q), expect, "step {step}");
+        }
     }
 
     #[test]

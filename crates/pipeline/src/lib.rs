@@ -281,6 +281,11 @@ pub struct Simulator {
     /// `SimStats::stall_reasons` at the end of a run (a `BTreeMap` string
     /// bump per stalled cycle is an allocation the hot loop can't afford).
     stall_counts: [u64; STALL_LABELS.len()],
+    /// The instruction the scheduler refused this cycle, if it did: a
+    /// skipped idle cycle would present it again, and be refused again.
+    refused: Option<DispatchInst>,
+    /// Cycles jumped over by the quiescent-cycle skip, since construction.
+    skipped_cycles: u64,
 }
 
 /// Stall-reason display labels, in counter-index order.
@@ -350,6 +355,8 @@ impl Simulator {
             stores_done_scratch: Vec::with_capacity(cfg.rob_entries),
             pending_loads_scratch: Vec::with_capacity(cfg.rob_entries),
             stall_counts: [0; STALL_LABELS.len()],
+            refused: None,
+            skipped_cycles: 0,
         }
     }
 
@@ -433,6 +440,14 @@ impl Simulator {
         self.stats.benchmark = name.to_string();
     }
 
+    /// Cycles the quiescent-cycle skip jumped over since construction
+    /// (counted in [`SimStats::cycles`] like any other cycle). A
+    /// deterministic work counter: the same run skips the same cycles.
+    #[must_use]
+    pub fn skipped_cycles(&self) -> u64 {
+        self.skipped_cycles
+    }
+
     /// Current (integer, FP) scheduler occupancy — after a drained run both
     /// must be zero, wrong-path squashes included (tests assert this).
     #[must_use]
@@ -476,28 +491,81 @@ impl Simulator {
         W: Workload + ?Sized,
     {
         let mut t = StageTimer::start();
-        self.commit_stage();
+        let committed = self.commit_stage();
         t.lap(&mut self.profile, stage::COMMIT);
-        self.writeback_stage(src);
+        let drained = self.writeback_stage(src);
         t.lap(&mut self.profile, stage::WRITEBACK);
-        self.memory_stage();
+        let loads = self.memory_stage();
         t.lap(&mut self.profile, stage::MEMORY);
-        self.issue_stage();
+        let offered = self.issue_stage();
         t.lap(&mut self.profile, stage::ISSUE);
-        self.dispatch_stage();
+        let (dispatched, stall) = self.dispatch_stage();
         t.lap(&mut self.profile, stage::RENAME_DISPATCH);
-        self.fetch_stage(src, trace_done);
+        let fetched = self.fetch_stage(src, trace_done);
         t.lap(&mut self.profile, stage::FETCH);
         self.profile.cycles += 1;
         let (oi, of) = self.sched.occupancy();
         self.stats.occupancy_int.record(oi as u64);
         self.stats.occupancy_fp.record(of as u64);
         self.now += 1;
+        if !(committed || drained || loads || offered || dispatched || fetched) {
+            self.skip_quiescent(stall, (oi as u64, of as u64));
+        }
+    }
+
+    /// Fast-forwards over the idle cycles that follow a quiescent one.
+    ///
+    /// The cycle just run changed nothing but the clock, so every later
+    /// cycle repeats it exactly until something time-driven happens: the
+    /// next completion event, the end of a fetch stall timer, the
+    /// deadlock watchdog, or a time-driven change inside the scheduler
+    /// (which [`Scheduler::skip_idle`] knows and enforces). The jump
+    /// records for each skipped cycle what the cycle would have recorded —
+    /// occupancy samples, the dispatch stall, the scheduler's per-cycle
+    /// energy — so `SimStats` are bit-identical to stepping. See DESIGN.md
+    /// "Quiescent-cycle skip".
+    fn skip_quiescent(&mut self, stall: Option<usize>, occupancy: (u64, u64)) {
+        // The watchdog fires at this cycle when nothing commits; stopping
+        // there keeps its panic at the same cycle with the same message.
+        let mut horizon = self.last_commit_at + DEADLOCK_LIMIT;
+        if let Some(at) = self.events.next_at() {
+            horizon = horizon.min(at);
+        }
+        // Fetch idled on its stall timer alone: it resumes at the timer.
+        // A pending mispredict or a full fetch queue only clears through
+        // an event or a dispatch.
+        if !self.waiting_mispredict && self.fetch_queue.len() < self.cfg.fetch_queue {
+            horizon = horizon.min(self.fetch_stalled_until.max(self.now));
+        }
+        if horizon <= self.now {
+            return;
+        }
+        let n = self
+            .sched
+            .skip_idle(self.now, horizon - self.now, self.refused.as_ref());
+        if n == 0 {
+            return;
+        }
+        debug_assert!(
+            n <= horizon - self.now,
+            "scheduler skipped past the horizon"
+        );
+        self.profile.cycles += n;
+        self.stats.occupancy_int.record_n(occupancy.0, n);
+        self.stats.occupancy_fp.record_n(occupancy.1, n);
+        if let Some(reason) = stall {
+            self.stall_counts[reason] += n;
+            self.stats.dispatch_stall_cycles += n;
+        }
+        self.now += n;
+        self.skipped_cycles += n;
     }
 
     // ---- commit ------------------------------------------------------
 
-    fn commit_stage(&mut self) {
+    /// Retires completed instructions; whether any retired.
+    fn commit_stage(&mut self) -> bool {
+        let before = self.stats.committed;
         for _ in 0..self.cfg.commit_width {
             let Some(head) = self.rob.front() else { break };
             if !head.completed {
@@ -521,11 +589,14 @@ impl Simulator {
             }
             self.last_commit_at = self.now;
         }
+        self.stats.committed != before
     }
 
     // ---- writeback ----------------------------------------------------
 
-    fn writeback_stage<W>(&mut self, src: &mut W)
+    /// Drains this cycle's events and completes stores whose data
+    /// arrived; whether any event (dead ones included) or store did.
+    fn writeback_stage<W>(&mut self, src: &mut W) -> bool
     where
         W: Workload + ?Sized,
     {
@@ -654,6 +725,7 @@ impl Simulator {
                 }
             }
         }
+        let mut active = !due.is_empty();
         self.due_scratch = due;
         // Stores whose data arrived this cycle (or earlier) complete now.
         if !self.stores_waiting_data.is_empty() {
@@ -672,8 +744,10 @@ impl Simulator {
                 self.lsq.store_data_ready(id);
                 self.rob_entry_mut(id).completed = true;
             }
+            active |= !done.is_empty();
             self.stores_done_scratch = done;
         }
+        active
     }
 
     // ---- mispredict recovery ------------------------------------------
@@ -765,10 +839,14 @@ impl Simulator {
 
     // ---- memory -------------------------------------------------------
 
-    fn memory_stage(&mut self) {
+    /// Starts the loads the LSQ lets go; whether any load could go (a
+    /// forward, or an access — granted a port or not).
+    fn memory_stage(&mut self) -> bool {
         let mut pending = std::mem::take(&mut self.pending_loads_scratch);
         self.lsq.pending_load_actions_into(&mut pending);
+        let mut active = false;
         for &(id, action) in &pending {
+            active |= action != LoadAction::Wait;
             match action {
                 LoadAction::Wait => {}
                 LoadAction::Forward => {
@@ -810,13 +888,16 @@ impl Simulator {
             }
         }
         self.pending_loads_scratch = pending;
+        active
     }
 
     // ---- issue --------------------------------------------------------
 
-    fn issue_stage(&mut self) {
+    /// Runs selection; whether the scheduler offered anything for issue
+    /// (a `try_issue` call, granted or not).
+    fn issue_stage(&mut self) -> bool {
         let mut accepted = std::mem::take(&mut self.accepted_scratch);
-        {
+        let offered = {
             let mut sink = CycleSink::new(
                 self.now,
                 &self.rename,
@@ -827,7 +908,8 @@ impl Simulator {
                 &mut accepted,
             );
             self.sched.issue_cycle(self.now, &mut sink);
-        }
+            sink.attempts > 0
+        };
         for &issued in &accepted {
             let info = {
                 let entry = self.inflight.get_mut(issued.id);
@@ -906,26 +988,31 @@ impl Simulator {
             }
         }
         self.accepted_scratch = accepted;
+        offered
     }
 
     // ---- dispatch / rename ---------------------------------------------
 
-    fn dispatch_stage(&mut self) {
-        let mut stalled = false;
+    /// Renames and dispatches in order; returns whether anything
+    /// dispatched and the stall-counter index of the stall, if one ended
+    /// the group. A scheduler refusal leaves the refused instruction in
+    /// `self.refused`.
+    fn dispatch_stage(&mut self) -> (bool, Option<usize>) {
+        let mut stall = None;
+        let mut dispatched = false;
+        self.refused = None;
         for _ in 0..self.cfg.decode_width {
             let Some(fetched) = self.fetch_queue.front().copied() else {
                 break;
             };
             if self.rob.len() >= self.cfg.rob_entries {
-                self.stall_counts[0] += 1; // rob_full
-                stalled = true;
+                stall = Some(0); // rob_full
                 break;
             }
             let inst = fetched.inst;
             if let Some(dst) = inst.dst {
                 if self.rename.peek_allocate(dst.class()).is_none() {
-                    self.stall_counts[1] += 1; // no_phys_reg
-                    stalled = true;
+                    stall = Some(1); // no_phys_reg
                     break;
                 }
             }
@@ -966,16 +1053,17 @@ impl Simulator {
                 dst_arch: inst.dst,
             };
             if let Err(reason) = self.sched.try_dispatch(&di, self.now) {
-                self.stall_counts[match reason {
+                stall = Some(match reason {
                     diq_core::DispatchStall::QueueFull => 2,
                     diq_core::DispatchStall::NoEmptyQueue => 3,
                     diq_core::DispatchStall::NoFreeChain => 4,
                     diq_core::DispatchStall::Full => 5,
-                }] += 1;
-                stalled = true;
+                });
+                self.refused = Some(di);
                 break;
             }
             // Commit the dispatch.
+            dispatched = true;
             self.fetch_queue.pop_front();
             let prev_mapping = inst.dst.map(|d| {
                 let (new, prev) = self.rename.allocate(d);
@@ -1029,9 +1117,11 @@ impl Simulator {
                 },
             );
         }
-        if stalled {
+        if let Some(reason) = stall {
+            self.stall_counts[reason] += 1;
             self.stats.dispatch_stall_cycles += 1;
         }
+        (dispatched, stall)
     }
 
     // ---- fetch ----------------------------------------------------------
@@ -1063,12 +1153,18 @@ impl Simulator {
         n > 0
     }
 
-    fn fetch_stage<W>(&mut self, src: &mut W, trace_done: &mut bool)
+    /// Fetches up to a fetch-width group; whether fetch did anything
+    /// beyond finding itself blocked (a pull, an I-cache probe or a
+    /// refill attempt).
+    fn fetch_stage<W>(&mut self, src: &mut W, trace_done: &mut bool) -> bool
     where
         W: Workload + ?Sized,
     {
-        if self.waiting_mispredict || self.now < self.fetch_stalled_until {
-            return;
+        if self.waiting_mispredict
+            || self.now < self.fetch_stalled_until
+            || self.fetch_queue.len() >= self.cfg.fetch_queue
+        {
+            return false;
         }
         let speculating = self.cfg.wrong_path && src.speculative();
         let line_shift = self.cfg.mem.il1.line_bytes.trailing_zeros();
@@ -1178,6 +1274,7 @@ impl Simulator {
                 break;
             }
         }
+        true
     }
 }
 

@@ -17,7 +17,7 @@
 //!   thread in grid order: the final `results/store.jsonl` is byte-identical
 //!   to what a single-process `diq sweep` of the same specs would write, and
 //!   run manifests land in the same `runs/` layout. Every downstream tool
-//!   (`compare`, `export`, the figure harness) works unchanged.
+//!   (`compare`, `export`, `diq figures`) works unchanged.
 //!
 //! Workers hold leases with deadlines; a worker that dies mid-point is
 //! detected by lease expiry (or socket EOF) and its points are reassigned,

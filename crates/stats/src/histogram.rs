@@ -57,6 +57,21 @@ impl Histogram {
         self.max = self.max.max(value);
     }
 
+    /// Records `value` `n` times — exactly what `n` calls of
+    /// [`record`](Histogram::record) would leave behind (nothing for
+    /// `n == 0`).
+    #[inline]
+    pub fn record_n(&mut self, value: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        let idx = (value as usize).min(self.buckets.len() - 1);
+        self.buckets[idx] += n;
+        self.count += n;
+        self.sum += value * n;
+        self.max = self.max.max(value);
+    }
+
     /// Number of samples recorded.
     #[must_use]
     pub fn count(&self) -> u64 {
@@ -165,6 +180,39 @@ mod tests {
         assert_eq!(h.bucket(1), 2);
         assert_eq!(h.overflow(), 2); // 2 and 5 both land at/after cap
         assert_eq!(h.max(), 5);
+    }
+
+    #[test]
+    fn record_n_matches_repeated_record() {
+        // (value, n) runs, including n == 0 and values past the cap.
+        let runs = [
+            (0u64, 3u64),
+            (2, 0),
+            (3, 5),
+            (9, 2),
+            (4, 0),
+            (1, 1),
+            (100, 4),
+        ];
+        let mut bulk = Histogram::new(4);
+        let mut single = Histogram::new(4);
+        for (i, &(v, n)) in runs.iter().enumerate() {
+            bulk.record_n(v, n);
+            for _ in 0..n {
+                single.record(v);
+            }
+            assert_eq!(bulk, single, "after run {i}");
+            assert_eq!(bulk.overflow(), single.overflow());
+            assert_eq!(bulk.count(), single.count());
+            assert_eq!(bulk.max(), single.max());
+            assert_eq!(bulk.mean().to_bits(), single.mean().to_bits());
+            for p in [0.0, 10.0, 50.0, 90.0, 99.0, 100.0] {
+                assert_eq!(bulk.percentile(p), single.percentile(p), "p{p}");
+            }
+        }
+        let mut empty = Histogram::new(4);
+        empty.record_n(7, 0);
+        assert_eq!(empty, Histogram::new(4), "n == 0 records nothing");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Statistics utilities for the simulator: counters, histograms, means, and
 //! paper-style text tables.
 //!
-//! The experiment harness reports results the way the paper's figures do —
+//! `diq figures` reports results the way the paper's figures do —
 //! per-benchmark series plus a harmonic mean over IPCs — so this crate
 //! provides exactly those primitives.
 //!

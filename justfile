@@ -20,6 +20,7 @@ test-heavy cases="512":
 # Everything CI runs, including workspace-wide tests and lints.
 ci: verify
     cargo test -q --workspace
+    cargo test -q -p diq-pipeline --features profile
     cargo fmt --all --check
     cargo clippy --all-targets --workspace -- -D warnings
 
